@@ -527,30 +527,6 @@ func BenchmarkQueryBatchVsSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelQueryIDs measures the intra-query mode on a wide
-// ensemble (32 partitions), against QueryIDs on the same shape.
-func BenchmarkParallelQueryIDs(b *testing.B) {
-	f := webTableFixture(b, 10000)
-	idx, err := lshensemble.Build(f.records, lshensemble.Options{NumPartitions: 32})
-	if err != nil {
-		b.Fatal(err)
-	}
-	qi := f.queries[0]
-	idx.QueryIDs(f.records[qi].Sig, f.records[qi].Size, 0.25)
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			qi := f.queries[i%len(f.queries)]
-			idx.QueryIDs(f.records[qi].Sig, f.records[qi].Size, 0.25)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			qi := f.queries[i%len(f.queries)]
-			idx.ParallelQueryIDs(f.records[qi].Sig, f.records[qi].Size, 0.25, 0)
-		}
-	})
-}
-
 // --- Live index: serving while the corpus churns ---
 
 // liveBenchIndex builds a live index with several sealed segments, a warm
@@ -752,12 +728,13 @@ func manySegmentsIndex(b *testing.B, opts lshensemble.LiveOptions, pools, hotPoo
 	return idx, hot
 }
 
-// BenchmarkLiveQueryManySegments measures what segment pruning buys on a
+// BenchmarkLiveQueryManySegments measures the planned query path on a
 // snapshot with many sealed segments when the query's candidates live in only
 // a few of them — the skewed shape a long-running daemon reaches. 8 of 32
 // segments hold candidates; the planner's Bloom/range metadata must rule the
-// other 24 out without probing. The pruned config keeps the result cache off
-// so the speedup is honest planning, not memoization.
+// other 24 out without probing (pruned-frac reports the skipped share). The
+// result cache stays off so the time is planning and probing, not
+// memoization.
 func BenchmarkLiveQueryManySegments(b *testing.B) {
 	const pools, hotPools = 32, 8
 	run := func(b *testing.B, opts lshensemble.LiveOptions) {
@@ -798,12 +775,6 @@ func BenchmarkLiveQueryManySegments(b *testing.B) {
 		ResultCacheSize:  -1,
 	}
 	b.Run("pruned", func(b *testing.B) { run(b, base) })
-	b.Run("unpruned", func(b *testing.B) {
-		opts := base
-		opts.DisablePruning = true
-		opts.DisablePlanCache = true
-		run(b, opts)
-	})
 }
 
 // BenchmarkResultCacheHit measures the snapshot-coherent result cache: the

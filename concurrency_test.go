@@ -293,7 +293,7 @@ func TestQueryBatchConcurrentWithReindex(t *testing.T) {
 					}
 				default:
 					qi := queries[(w+rep)%len(queries)]
-					ids, err := idx.ParallelQueryIDs(recs[qi].Sig, recs[qi].Size, 0.5, 4)
+					ids, err := idx.QueryIDs(recs[qi].Sig, recs[qi].Size, 0.5)
 					if err != nil {
 						mu.RUnlock()
 						errs <- err

@@ -71,9 +71,7 @@
 // Construction and batch serving fan out over bounded worker pools sized by
 // GOMAXPROCS; all parallel paths degrade to the serial code at one proc.
 // Construction is bit-deterministic at any worker count, and every
-// QueryBatch row matches the serial QueryIDs answer element for element;
-// only ParallelQueryIDs returns its (deduplicated) result set in an
-// unspecified order.
+// QueryBatch row matches the serial QueryIDs answer element for element.
 //
 //   - Build routes records to partitions serially (one binary search each),
 //     then fills the disjoint partition forests in parallel, with each
@@ -91,22 +89,15 @@
 //     QueryBatchInto with a reused BatchResults performs zero per-query
 //     steady-state allocations (the whole dispatch costs a fixed handful of
 //     goroutine-spawn allocations, independent of batch size).
-//   - Index.ParallelQueryIDs splits the partitions of ONE query across
-//     workers instead. Partitions hold disjoint ids, so per-worker dedup
-//     suffices and the merge is a concatenation. Intra-query splitting wins
-//     only when single-query latency matters and the stream is too thin to
-//     batch — a wide ensemble probed by rare, expensive queries; batched
-//     traffic should always prefer QueryBatch, whose coordination cost is
-//     amortized over the whole batch rather than paid per query.
 //   - Corpus sketching: Hasher.SketchParallel shards one large pre-hashed
 //     value slice across workers (exact — shard minima merge slot-wise);
 //     cmd/lshed sketches whole columns in parallel and serves multi-column
 //     query files through one QueryBatch dispatch (-batch -workers).
 //
 // Concurrency contract: an Index is safe for any number of concurrent
-// readers (Query*, QueryBatch*, ParallelQueryIDs); Add and Reindex require
-// exclusive access, as with an RWMutex. Querying an Index that has Adds not
-// yet folded in by Reindex returns core.ErrDirty rather than panicking.
+// readers (Query*, QueryBatch*); Add and Reindex require exclusive access,
+// as with an RWMutex. Querying an Index that has Adds not yet folded in by
+// Reindex returns core.ErrDirty rather than panicking.
 //
 // # Live index
 //
@@ -151,9 +142,11 @@
 // caches ride on snapshot generations (a tuned-(b,r) plan cache and a
 // lock-free result cache) and are validated by a single generation
 // compare on read, so repeated queries against an unchanged corpus are
-// allocation-free cache hits. LiveOptions.DisablePruning,
-// DisablePlanCache and ResultCacheSize expose the knobs; LiveStats
-// reports per-segment metadata and prune/hit counters.
+// allocation-free cache hits. LiveOptions.ResultCacheSize sizes the
+// result cache; LiveStats reports per-segment metadata and prune/hit
+// counters. LiveIndex.QueryBatch is a bounded fan-out of the single-query
+// path over one snapshot (at most GOMAXPROCS workers), so every batch row
+// is exactly the answer Query would give.
 //
 // # Out-of-core segments
 //
@@ -183,16 +176,16 @@
 // mmap support the option degrades to a heap read with identical results.
 //
 // cmd/lshensembled serves a LiveIndex over HTTP (/add, /delete, /query,
-// /query/topk, /query/batch backed by the batch engine, /stats, /compact,
-// /save) with snapshot load at boot and save on shutdown, and runs
-// out-of-core with -data-dir DIR -mmap (the snapshot then defaults to
+// /query/topk, /query/batch, /stats, /compact, /save) with snapshot load
+// at boot and save on shutdown, and runs out-of-core with
+// -data-dir DIR -mmap (the snapshot then defaults to
 // DIR/MANIFEST; /stats reports each segment's backing, file bytes and
 // resident estimate); examples/dynamic walks the churn-and-compact
 // lifecycle and prints what the planner pruned. Query handlers thread the
 // request context into the index, so a disconnected client stops its
 // in-flight query or batch instead of running it to completion
-// (QueryContext / QueryTopKContext / QueryBatchContext on LiveIndex, and
-// QueryBatchIntoContext on Index, expose the same to library callers).
+// (QueryContext / QueryTopKContext / QueryBatchContext on LiveIndex expose
+// the same to library callers).
 //
 // # Distributed serving
 //

@@ -282,6 +282,20 @@ func containsKey(keys []string, key string) bool {
 // one of three shards mid-traffic turns query answers partial — never a
 // 5xx — and the health checker then demotes the dead shard so answers go
 // clean again.
+// TestMergeTopKTies: the router's merge ranks with the same order as core
+// and live — on equal scores the smaller key wins, whichever shard sent it —
+// and keeps each key's best score.
+func TestMergeTopKTies(t *testing.T) {
+	got := mergeTopK([]serve.TopKResponse{
+		{Matches: []serve.TopKMatch{{Key: "d", EstContainment: 0.5}, {Key: "b", EstContainment: 0.5}}},
+		{Matches: []serve.TopKMatch{{Key: "c", EstContainment: 0.9}, {Key: "a", EstContainment: 0.5}, {Key: "d", EstContainment: 0.7}}},
+	}, 3)
+	want := []serve.TopKMatch{{Key: "c", EstContainment: 0.9}, {Key: "d", EstContainment: 0.7}, {Key: "a", EstContainment: 0.5}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("mergeTopK = %v, want %v", got, want)
+	}
+}
+
 func TestRouterPartialOnShardDeath(t *testing.T) {
 	const n = 90
 	urls, shards := startShards(t, 3)

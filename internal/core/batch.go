@@ -1,13 +1,11 @@
 package core
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"lshensemble/internal/minhash"
-	"lshensemble/internal/par"
 )
 
 // This file implements the high-throughput batch query engine. A batch of
@@ -17,11 +15,6 @@ import (
 // caller's BatchResults at the end. Steady-state batch serving through
 // QueryBatchInto performs zero per-query allocations: worker state is
 // recycled through a sync.Pool and the destination arena is reused.
-//
-// For large ensembles at low traffic — when a batch cannot fill the cores —
-// ParallelQueryIDs instead splits the partitions of a single query across
-// workers (intra-query parallelism). Partitions hold disjoint id sets, so
-// per-worker dedup scratch is sufficient and the merge is a concatenation.
 
 // BatchQuery is one containment query of a batch: the query signature, the
 // (exact or estimated) query cardinality |Q|, and the containment threshold
@@ -93,7 +86,6 @@ type batchWorker struct {
 // TestQueryBatchSteadyStateAllocs pin down.
 type batchState struct {
 	x       *Index
-	ctx     context.Context
 	queries []BatchQuery
 	next    atomic.Int64
 	wg      sync.WaitGroup
@@ -109,18 +101,11 @@ func (st *batchState) run(w int) {
 
 func (st *batchState) serve(w int) {
 	x := st.x
-	ctx := st.ctx
 	bw := st.workers[w]
 	bw.ids = bw.ids[:0]
 	bw.rows = bw.rows[:0]
 	s := x.acquireScratch()
 	for {
-		// One cancellation check per pulled query: a canceled batch stops
-		// after at most one in-flight query per worker, without any
-		// per-probe overhead on the uncanceled path.
-		if ctx.Err() != nil {
-			break
-		}
 		qi := int(st.next.Add(1)) - 1
 		if qi >= len(st.queries) {
 			break
@@ -145,23 +130,8 @@ func (st *batchState) serve(w int) {
 // has pending Adds (call Reindex first); it must not run concurrently with
 // Add/Reindex, exactly like every other query entry point.
 func (x *Index) QueryBatchInto(res *BatchResults, queries []BatchQuery, workers int) error {
-	return x.QueryBatchIntoContext(context.Background(), res, queries, workers)
-}
-
-// QueryBatchIntoContext is QueryBatchInto under a context: every worker
-// checks ctx once per pulled query, so canceling the context (a disconnected
-// client, an expired per-shard deadline) stops the remaining batch work
-// after at most one in-flight query per worker instead of burning CPU to
-// completion. When ctx is canceled it returns ctx.Err(); res then holds the
-// rows completed before cancellation (unserved queries get empty rows) and
-// must not be interpreted as a full answer.
-func (x *Index) QueryBatchIntoContext(ctx context.Context, res *BatchResults, queries []BatchQuery, workers int) error {
 	if x.dirty {
 		return ErrDirty
-	}
-	if err := ctx.Err(); err != nil {
-		res.reset(len(queries))
-		return err
 	}
 	res.reset(len(queries))
 	if len(queries) == 0 || len(x.keys) == 0 {
@@ -178,7 +148,6 @@ func (x *Index) QueryBatchIntoContext(ctx context.Context, res *BatchResults, qu
 		st = &batchState{}
 	}
 	st.x = x
-	st.ctx = ctx
 	st.queries = queries
 	st.next.Store(0)
 	for len(st.workers) < workers {
@@ -221,10 +190,9 @@ func (x *Index) QueryBatchIntoContext(ctx context.Context, res *BatchResults, qu
 		}
 	}
 	st.x = nil
-	st.ctx = nil
 	st.queries = nil
 	x.batch.Put(st)
-	return ctx.Err()
+	return nil
 }
 
 // QueryBatch answers every query of the batch with up to `workers`
@@ -233,70 +201,13 @@ func (x *Index) QueryBatchIntoContext(ctx context.Context, res *BatchResults, qu
 // that care about allocation should use QueryBatchInto with a reused
 // BatchResults instead.
 func (x *Index) QueryBatch(queries []BatchQuery, workers int) ([][]uint32, error) {
-	return x.QueryBatchContext(context.Background(), queries, workers)
-}
-
-// QueryBatchContext is QueryBatch under a context — see
-// QueryBatchIntoContext for the cancellation semantics. On cancellation it
-// returns (nil, ctx.Err()).
-func (x *Index) QueryBatchContext(ctx context.Context, queries []BatchQuery, workers int) ([][]uint32, error) {
 	var res BatchResults
-	if err := x.QueryBatchIntoContext(ctx, &res, queries, workers); err != nil {
+	if err := x.QueryBatchInto(&res, queries, workers); err != nil {
 		return nil, err
 	}
 	out := make([][]uint32, len(queries))
 	for i := range out {
 		out[i] = res.Row(i)
-	}
-	return out, nil
-}
-
-// ParallelQueryIDs is QueryIDs with the partition probes of one query split
-// across up to `workers` goroutines (0 means GOMAXPROCS) — intra-query
-// parallelism. Each worker pulls whole partitions from a shared counter and
-// probes them with its own pooled scratch; the per-worker result runs are
-// concatenated (partitions are disjoint, so no cross-worker dedup is
-// needed). The result order is unspecified.
-//
-// This mode wins when a single query dominates the latency budget — a large
-// ensemble (many partitions) with non-trivial candidate sets — and the
-// query stream is too thin for QueryBatch to fill the cores. For batched
-// traffic, QueryBatch parallelizes across queries with far less
-// coordination overhead per probe.
-func (x *Index) ParallelQueryIDs(sig minhash.Signature, querySize int, tStar float64, workers int) ([]uint32, error) {
-	if x.dirty {
-		return nil, ErrDirty
-	}
-	if querySize <= 0 || len(x.keys) == 0 {
-		return nil, nil
-	}
-	workers = par.Clamp(workers, len(x.parts))
-	if workers <= 1 {
-		return x.QueryIDs(sig, querySize, tStar)
-	}
-	tStar = clampThreshold(tStar)
-	scratches := make([]*queryScratch, workers)
-	par.Drain(len(x.parts), workers, func(w, pi int) {
-		s := scratches[w]
-		if s == nil {
-			s = x.acquireScratch()
-			s.ids = s.ids[:0]
-			scratches[w] = s
-		}
-		s.ids = x.queryPartition(s.ids, s, pi, sig, querySize, tStar)
-	})
-	total := 0
-	for _, s := range scratches {
-		if s != nil {
-			total += len(s.ids)
-		}
-	}
-	out := make([]uint32, 0, total)
-	for _, s := range scratches {
-		if s != nil {
-			out = append(out, s.ids...)
-			x.releaseScratch(s)
-		}
 	}
 	return out, nil
 }

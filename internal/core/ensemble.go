@@ -459,8 +459,10 @@ func clampThreshold(tStar float64) float64 {
 // collapses the multiple trees of a single forest reporting the same id.
 func (x *Index) queryInto(dst []uint32, s *queryScratch, sig minhash.Signature, querySize int, tStar float64) []uint32 {
 	tStar = clampThreshold(tStar)
-	for i := range x.parts {
-		dst = x.queryPartition(dst, s, i, sig, querySize, tStar)
+	for pi := range x.parts {
+		if params, ok := x.partitionParams(pi, querySize, tStar); ok {
+			dst = x.probePartition(dst, s, pi, sig, params)
+		}
 	}
 	return dst
 }
@@ -483,27 +485,15 @@ func (x *Index) partitionParams(pi int, querySize int, tStar float64) (tune.Para
 }
 
 // probePartition probes one partition with the given banding parameters and
-// appends candidate ids to dst. Because partitions hold disjoint id sets,
-// distinct partitions of the same query may be probed by different workers
-// (each with its own scratch) without any cross-worker dedup — the visited
-// array only collapses the multiple trees of one forest reporting the same
-// id.
+// appends candidate ids to dst. The visited array only ever collapses the
+// multiple trees of one forest reporting the same id: partitions hold
+// disjoint id sets.
 func (x *Index) probePartition(dst []uint32, s *queryScratch, pi int, sig minhash.Signature, params tune.Params) []uint32 {
 	s.dst = dst
 	x.parts[pi].forest.Query(sig, params.B, params.R, s.emit)
 	dst = s.dst
 	s.dst = nil
 	return dst
-}
-
-// queryPartition probes one partition with the query's tuned (b, r) and
-// appends candidate ids to dst. tStar must already be clamped to [0, 1].
-func (x *Index) queryPartition(dst []uint32, s *queryScratch, pi int, sig minhash.Signature, querySize int, tStar float64) []uint32 {
-	params, ok := x.partitionParams(pi, querySize, tStar)
-	if !ok {
-		return dst
-	}
-	return x.probePartition(dst, s, pi, sig, params)
 }
 
 // PlanPartitions appends one tune.Params per partition to dst: the exact

@@ -338,9 +338,6 @@ func TestQueryAfterAddReturnsErrDirty(t *testing.T) {
 	if _, err := x.QueryTopK(sig, size, 3); err != ErrDirty {
 		t.Fatalf("QueryTopK on dirty index: err = %v, want ErrDirty", err)
 	}
-	if _, err := x.ParallelQueryIDs(sig, size, 0.5, 2); err != ErrDirty {
-		t.Fatalf("ParallelQueryIDs on dirty index: err = %v, want ErrDirty", err)
-	}
 	batch := []BatchQuery{{Sig: sig, Size: size, Threshold: 0.5}}
 	if _, err := x.QueryBatch(batch, 2); err != ErrDirty {
 		t.Fatalf("QueryBatch on dirty index: err = %v, want ErrDirty", err)

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"lshensemble/internal/minhash"
 )
@@ -14,6 +15,20 @@ type TopKResult struct {
 	// candidates; callers needing exact scores should verify against the
 	// raw domains.
 	EstContainment float64
+}
+
+// CompareTopK is the one ranking order of top-k answers, for
+// slices.SortFunc: estimated containment descending, ties broken by key
+// ascending. Every ranked merge (core, internal/live, the cluster router)
+// sorts with it, so a tie resolves the same way at every layer.
+func CompareTopK(a, b TopKResult) int {
+	if a.EstContainment != b.EstContainment {
+		if a.EstContainment > b.EstContainment {
+			return -1
+		}
+		return 1
+	}
+	return strings.Compare(a.Key, b.Key)
 }
 
 // topKThresholds is the descending threshold ladder QueryTopK walks. The
@@ -56,12 +71,7 @@ func (x *Index) QueryTopK(sig minhash.Signature, querySize, k int) ([]TopKResult
 	}
 	s.ids = ids
 	x.releaseScratch(s)
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].EstContainment != results[j].EstContainment {
-			return results[i].EstContainment > results[j].EstContainment
-		}
-		return results[i].Key < results[j].Key
-	})
+	slices.SortFunc(results, CompareTopK)
 	if len(results) > k {
 		results = results[:k]
 	}

@@ -134,3 +134,22 @@ func TestQueryTopKAfterAdd(t *testing.T) {
 		t.Fatalf("added record not top-1 for itself: %+v", top)
 	}
 }
+
+// TestCompareTopK pins the one ranking order every layer sorts top-k
+// answers with: score descending, ties broken by key ascending.
+func TestCompareTopK(t *testing.T) {
+	for _, c := range []struct {
+		a, b TopKResult
+		want int
+	}{
+		{TopKResult{"b", 0.9}, TopKResult{"a", 0.5}, -1}, // higher score first
+		{TopKResult{"a", 0.5}, TopKResult{"b", 0.9}, 1},
+		{TopKResult{"a", 0.7}, TopKResult{"b", 0.7}, -1}, // tie: key ascending
+		{TopKResult{"b", 0.7}, TopKResult{"a", 0.7}, 1},
+		{TopKResult{"a", 0.7}, TopKResult{"a", 0.7}, 0},
+	} {
+		if got := CompareTopK(c.a, c.b); got != c.want {
+			t.Errorf("CompareTopK(%+v, %+v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+}

@@ -3,7 +3,11 @@ package live
 import (
 	"context"
 	"errors"
+	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"lshensemble/internal/core"
 )
@@ -105,5 +109,84 @@ func TestQueryContextUncanceledMatchesPlain(t *testing.T) {
 		if !equalKeySets(got[i], want[i]) {
 			t.Fatalf("batch row %d differs under uncanceled context", i)
 		}
+	}
+}
+
+// countingCtx is a context that reports itself canceled from its limit-th
+// Err call on, so a test cancels a batch at a deterministic point inside
+// it — no timers, no sleeps.
+type countingCtx struct {
+	context.Context
+	calls atomic.Int64
+	limit int64
+}
+
+func newCountingCtx(limit int64) *countingCtx {
+	return &countingCtx{Context: context.Background(), limit: limit}
+}
+
+func (c *countingCtx) Err() error {
+	if c.calls.Add(1) >= c.limit {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestQueryBatchContextStopsMidBatch cancels a batch partway through and
+// requires the fan-out to (a) return (nil, Canceled), (b) stop starting
+// rows — every started row does one result-cache lookup after an Err check
+// that passed, so at most limit-1 rows may have started out of 600 — and
+// (c) leave no truncated row in the result cache: the same queries re-run
+// uncanceled match the unplanned reference exactly.
+func TestQueryBatchContextStopsMidBatch(t *testing.T) {
+	x, recs := cancelFixture(t)
+	queries := make([]core.BatchQuery, 600)
+	for i := range queries {
+		r := recs[i%len(recs)]
+		queries[i] = core.BatchQuery{Sig: r.Sig, Size: r.Size, Threshold: 0.25 * float64(1+i/len(recs))}
+	}
+	for _, workers := range []int{1, 4} {
+		const limit = 8
+		before := x.Stats().Planner
+		ctx := newCountingCtx(limit)
+		if rows, err := x.QueryBatchContext(ctx, queries, workers); !errors.Is(err, context.Canceled) || rows != nil {
+			t.Fatalf("workers=%d: QueryBatchContext = (%d rows, %v), want (nil, Canceled)", workers, len(rows), err)
+		}
+		after := x.Stats().Planner
+		if started := after.ResultHits + after.ResultMisses - before.ResultHits - before.ResultMisses; started >= limit {
+			t.Fatalf("workers=%d: %d rows started after cancellation at Err call %d", workers, started, limit)
+		}
+	}
+	for i, q := range queries[:40] {
+		if got, want := x.Query(q.Sig, q.Size, q.Threshold), refQuery(x, q.Sig, q.Size, q.Threshold); !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d after canceled batches: %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestQueryBatchContextNoGoroutineLeak hammers cancellation mid-batch and
+// requires the goroutine count to return to its baseline: canceled batch
+// workers must exit, not park.
+func TestQueryBatchContextNoGoroutineLeak(t *testing.T) {
+	x, recs := cancelFixture(t)
+	queries := make([]core.BatchQuery, 400)
+	for i := range queries {
+		r := recs[i%len(recs)]
+		queries[i] = core.BatchQuery{Sig: r.Sig, Size: r.Size, Threshold: 0.25}
+	}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		if _, err := x.QueryBatchContext(newCountingCtx(4), queries, 4); !errors.Is(err, context.Canceled) {
+			t.Fatalf("iteration %d: err = %v, want context.Canceled", i, err)
+		}
+	}
+	// QueryBatchContext waits for its workers before returning, so the
+	// count should already be back; poll briefly to absorb runtime noise.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before, %d after cancellation hammer", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -168,11 +168,7 @@ func TestQuerySnapshotStability(t *testing.T) {
 	s := x.acquireScratch()
 	for i := 0; i < 200; i += 9 {
 		r := recs[i]
-		var res []string
-		for _, seg := range sn.segs {
-			res = x.appendSegmentMatches(res, s, sn, seg, r.Sig, r.Size, 1.0)
-		}
-		res, _ = x.appendBufferMatches(context.Background(), res, sn, r.Sig, r.Size, 1.0, nil)
+		res, _ := x.querySnapshot(context.Background(), nil, s, sn, r.Sig, r.Size, 1.0, nil)
 		if want := i < 100; contains(res, r.Key) != want {
 			t.Fatalf("snapshot drifted: key %d present=%v, want %v", i, !want, want)
 		}

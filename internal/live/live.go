@@ -59,7 +59,6 @@
 // Pruning is conservative by construction — a segment is skipped only
 // when it provably contributes nothing — so planned results are
 // byte-identical to a full scan (asserted by the package tests).
-// Options.DisablePruning restores the full scan for A/B measurement.
 //
 // # Caches and generation coherence
 //
@@ -120,7 +119,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -128,6 +128,7 @@ import (
 	"lshensemble/internal/bloom"
 	"lshensemble/internal/core"
 	"lshensemble/internal/minhash"
+	"lshensemble/internal/par"
 	"lshensemble/internal/segfile"
 	"lshensemble/internal/tune"
 )
@@ -150,18 +151,6 @@ type Options struct {
 	// merging then happen only through explicit Flush/Compact calls.
 	// Tests and single-shot tools use this to control timing.
 	ManualCompaction bool
-
-	// DisablePruning turns off the segment-level query planner (size-range
-	// and Bloom segment pruning, plus top-k early termination); every query
-	// then probes every sealed segment, as before the planner existed.
-	// Pruned and unpruned queries return identical results — the knob
-	// exists for A/B measurement.
-	DisablePruning bool
-
-	// DisablePlanCache turns off the per-(querySize, threshold) plan cache;
-	// the per-segment banding decisions are then recomputed on every query.
-	// A/B measurement knob, like DisablePruning.
-	DisablePlanCache bool
 
 	// ResultCacheSize bounds the exact-result cache in entries: 0 selects
 	// the default (1024), a negative value disables the cache. Cached
@@ -207,12 +196,8 @@ func newTuner(opts Options) *tune.Optimizer {
 
 // newBufBloom sizes a fresh buffer filter for one seal cycle's worth of
 // leading values (SealThreshold entries, one value per tree each), at the
-// same operating point as the sealed segments' leads filter. Nil when
-// pruning is disabled.
+// same operating point as the sealed segments' leads filter.
 func (x *Index) newBufBloom() *bloom.Atomic {
-	if x.opts.DisablePruning {
-		return nil
-	}
 	numLeads := (x.opts.NumHash + x.opts.RMax - 1) / x.opts.RMax
 	entries := x.opts.SealThreshold * numLeads
 	// NumHash and RMax can come from an untrusted snapshot header, so the
@@ -231,9 +216,6 @@ func (x *Index) newBufBloom() *bloom.Atomic {
 // are masked before insertion — the query side masks identically, keeping
 // the filter's zero-false-negative guarantee across the seal boundary.
 func addBufLeads(f *bloom.Atomic, sig minhash.Signature, rMax int, mask uint64) {
-	if f == nil {
-		return
-	}
 	for off := 0; off < len(sig); off += rMax {
 		f.AddHash(sig[off] & mask)
 	}
@@ -310,8 +292,7 @@ type snapshot struct {
 	// collide with any buffered entry, so the linear scan is skipped. The
 	// filter is shared with the writer (Adds insert concurrently — extra
 	// bits relative to this snapshot's buf prefix only cost false
-	// positives) and replaced when a seal relocates the buffer. Nil when
-	// pruning is disabled.
+	// positives) and replaced when a seal relocates the buffer.
 	bufBloom *bloom.Atomic
 
 	// refs and dead manage the snapshot's lifetime (segio.go): the current
@@ -478,8 +459,10 @@ func (x *Index) getObserver() Observer {
 // of the aggregate Stats.Planner counters. The serving layer uses it to
 // dump a planner breakdown into the slow-query log.
 //
-// Only the single-query path (Query/QueryContext/QueryAppend*) fills a
-// trace; batch and top-k queries ignore it.
+// Every context-taking query records the snapshot shape (Segments,
+// Buffered); only the threshold path (QueryContext/QueryAppendContext)
+// records the planner decisions. Top-k has no per-segment plan, and the
+// rows of a batch run concurrently, so they would race on one trace.
 type QueryTrace struct {
 	// ResultCacheHit reports the query was answered from the result cache
 	// without touching a segment.
@@ -501,8 +484,8 @@ type QueryTrace struct {
 // traceCtxKey carries a *QueryTrace in a context.
 type traceCtxKey struct{}
 
-// WithQueryTrace returns ctx carrying t; the next single query run under
-// the returned context fills it in.
+// WithQueryTrace returns ctx carrying t; the next query run under the
+// returned context fills it in (see QueryTrace for what each shape records).
 func WithQueryTrace(ctx context.Context, t *QueryTrace) context.Context {
 	return context.WithValue(ctx, traceCtxKey{}, t)
 }
@@ -703,6 +686,49 @@ func (x *Index) acquireScratch() *queryScratch {
 
 func (x *Index) releaseScratch(s *queryScratch) { x.scratch.Put(s) }
 
+// pinned is what the shared entry stage hands a query body: the snapshot
+// it pinned, the context's trace and the Observer clock.
+type pinned struct {
+	sn    *snapshot
+	tr    *QueryTrace
+	o     Observer
+	start time.Time
+}
+
+// begin is the entry stage every query shape shares: it starts the Observer
+// clock, pins the current snapshot (a concurrent seal or merge may retire —
+// and under mmap, unmap — segments the query is still probing) and records
+// the snapshot's shape in the context's trace. end releases the pin and
+// reports the latency under kind.
+func (x *Index) begin(ctx context.Context) pinned {
+	p := pinned{o: x.getObserver()}
+	if p.o != nil {
+		p.start = time.Now()
+	}
+	p.sn = x.acquireSnap()
+	if p.tr = queryTraceFrom(ctx); p.tr != nil {
+		p.tr.Segments = len(p.sn.segs)
+		p.tr.Buffered = len(p.sn.buf)
+	}
+	return p
+}
+
+func (x *Index) end(p pinned, kind QueryKind) {
+	x.releaseSnap(p.sn)
+	if p.o != nil {
+		p.o.ObserveQuery(kind, time.Since(p.start))
+	}
+}
+
+// clampSig trims a query signature to NumHash, the prefix every probe and
+// every stored signature uses.
+func (x *Index) clampSig(sig minhash.Signature) minhash.Signature {
+	if len(sig) > x.opts.NumHash {
+		return sig[:x.opts.NumHash]
+	}
+	return sig
+}
+
 // Query returns the keys of all candidate domains for the query signature
 // at containment threshold tStar (see core.Index.QueryIDs for parameter
 // semantics). It is lock-free against Add, Delete and the compactor, and
@@ -734,31 +760,25 @@ func (x *Index) QueryContext(ctx context.Context, sig minhash.Signature, querySi
 // the cancellation semantics. On cancellation dst is returned grown by an
 // unspecified prefix of the answer alongside ctx.Err().
 func (x *Index) QueryAppendContext(ctx context.Context, dst []string, sig minhash.Signature, querySize int, tStar float64) ([]string, error) {
-	if o := x.getObserver(); o != nil {
-		start := time.Now()
-		dst, err := x.queryAppendContext(ctx, dst, sig, querySize, tStar)
-		o.ObserveQuery(KindQuery, time.Since(start))
-		return dst, err
-	}
-	return x.queryAppendContext(ctx, dst, sig, querySize, tStar)
+	p := x.begin(ctx)
+	s := x.acquireScratch()
+	dst, err := x.queryPinned(ctx, dst, s, p.sn, sig, querySize, tStar, p.tr)
+	x.releaseScratch(s)
+	x.end(p, KindQuery)
+	return dst, err
 }
 
-func (x *Index) queryAppendContext(ctx context.Context, dst []string, sig minhash.Signature, querySize int, tStar float64) ([]string, error) {
+// queryPinned is the one threshold-query body, shared by the single and
+// batch shapes: it normalizes the query, answers from the result cache when
+// that holds this exact query against sn, and otherwise runs the planned
+// fan-out and caches its complete answer. s is the caller's scratch; tr,
+// when non-nil, receives the per-query planner breakdown.
+func (x *Index) queryPinned(ctx context.Context, dst []string, s *queryScratch, sn *snapshot, sig minhash.Signature, querySize int, tStar float64, tr *QueryTrace) ([]string, error) {
 	if querySize <= 0 {
 		return dst, nil
 	}
-	if len(sig) > x.opts.NumHash {
-		sig = sig[:x.opts.NumHash]
-	}
+	sig = x.clampSig(sig)
 	tStar = clampThreshold(tStar)
-	// Pin the snapshot: a concurrent seal/merge may retire (and under mmap,
-	// unmap) segments the fan-out is still probing.
-	sn := x.acquireSnap()
-	tr := queryTraceFrom(ctx)
-	if tr != nil {
-		tr.Segments = len(sn.segs)
-		tr.Buffered = len(sn.buf)
-	}
 	var h uint64
 	tBits := math.Float64bits(tStar)
 	if x.rc != nil {
@@ -768,19 +788,17 @@ func (x *Index) queryAppendContext(ctx context.Context, dst []string, sig minhas
 			if tr != nil {
 				tr.ResultCacheHit = true
 			}
-			x.releaseSnap(sn)
 			return append(dst, e.keys...), nil
 		}
 		x.resMisses.Add(1)
 	}
 	base := len(dst)
-	dst, err := x.querySnapshot(ctx, dst, sn, sig, querySize, tStar, tr)
+	dst, err := x.querySnapshot(ctx, dst, s, sn, sig, querySize, tStar, tr)
 	// A canceled fan-out collected only a prefix of the answer; caching it
 	// would serve the truncation to later, uncanceled queries.
 	if err == nil && x.rc != nil {
 		x.storeResult(sn, sig, querySize, tBits, h, dst[base:])
 	}
-	x.releaseSnap(sn)
 	return dst, err
 }
 
@@ -796,71 +814,44 @@ func clampThreshold(t float64) float64 {
 
 // querySnapshot runs the planned fan-out over one snapshot: resolve the
 // plan for (querySize, tStar), probe only the segments the plan and the
-// Bloom pre-test cannot rule out, then scan the buffer. With pruning
-// disabled it degrades to the plain probe-everything loop. sig and tStar
-// must already be clamped. ctx is checked once per segment and periodically
+// Bloom pre-test cannot rule out, then scan the buffer. sig and tStar must
+// already be clamped. ctx is checked once per segment and periodically
 // inside the buffer scan; on cancellation dst is returned as collected so
 // far alongside ctx.Err(). tr, when non-nil, receives the per-query
 // planner breakdown (mirroring the aggregate counters).
-func (x *Index) querySnapshot(ctx context.Context, dst []string, sn *snapshot, sig minhash.Signature, querySize int, tStar float64, tr *QueryTrace) ([]string, error) {
+func (x *Index) querySnapshot(ctx context.Context, dst []string, s *queryScratch, sn *snapshot, sig minhash.Signature, querySize int, tStar float64, tr *QueryTrace) ([]string, error) {
 	if len(sn.segs) > 0 {
-		s := x.acquireScratch()
-		if x.opts.DisablePruning {
-			for _, seg := range sn.segs {
-				if err := ctx.Err(); err != nil {
-					x.releaseScratch(s)
-					return dst, err
-				}
-				if tr != nil {
-					tr.SegmentsProbed++
-				}
-				dst = x.appendSegmentMatches(dst, s, sn, seg, sig, querySize, tStar)
+		plan := x.planFor(sn, querySize, tStar)
+		for si, seg := range sn.segs {
+			if err := ctx.Err(); err != nil {
+				return dst, err
 			}
-		} else {
-			plan := x.planFor(sn, querySize, tStar)
-			for si, seg := range sn.segs {
-				if err := ctx.Err(); err != nil {
-					x.releaseScratch(s)
-					return dst, err
-				}
-				pp := plan.params[si]
-				if pp == nil {
-					x.segRangePruned.Add(1)
-					if tr != nil {
-						tr.SegmentsRangePruned++
-					}
-					continue
-				}
-				if !seg.meta.mayCollide(sig, x.opts.RMax, x.opts.Sketch.Mask()) {
-					x.segBloomPruned.Add(1)
-					if tr != nil {
-						tr.SegmentsBloomPruned++
-					}
-					continue
-				}
-				x.segProbed.Add(1)
+			pp := plan.params[si]
+			if pp == nil {
+				x.segRangePruned.Add(1)
 				if tr != nil {
-					tr.SegmentsProbed++
+					tr.SegmentsRangePruned++
 				}
-				// A sealed segment is never dirty and the plan matches its
-				// partition count, so the error path is unreachable.
-				s.ids, _ = seg.idx.QueryIDsPlannedAppend(s.ids[:0], sig, pp)
-				dst = appendLiveKeys(dst, sn, seg, s.ids)
+				continue
 			}
+			if !seg.meta.mayCollide(sig, x.opts.RMax, x.opts.Sketch.Mask()) {
+				x.segBloomPruned.Add(1)
+				if tr != nil {
+					tr.SegmentsBloomPruned++
+				}
+				continue
+			}
+			x.segProbed.Add(1)
+			if tr != nil {
+				tr.SegmentsProbed++
+			}
+			// A sealed segment is never dirty and the plan matches its
+			// partition count, so the error path is unreachable.
+			s.ids, _ = seg.idx.QueryIDsPlannedAppend(s.ids[:0], sig, pp)
+			dst = appendLiveKeys(dst, sn, seg, s.ids)
 		}
-		x.releaseScratch(s)
 	}
 	return x.appendBufferMatches(ctx, dst, sn, sig, querySize, tStar, tr)
-}
-
-// appendSegmentMatches probes one sealed segment the pre-planner way and
-// appends the keys of its live candidates (the DisablePruning path).
-func (x *Index) appendSegmentMatches(dst []string, s *queryScratch, sn *snapshot, seg *segment,
-	sig minhash.Signature, querySize int, tStar float64) []string {
-	// A sealed segment can never be dirty, so the error is impossible; the
-	// empty result on that unreachable path is still safe.
-	s.ids, _ = seg.idx.QueryIDsAppend(s.ids[:0], sig, querySize, tStar)
-	return appendLiveKeys(dst, sn, seg, s.ids)
 }
 
 // appendLiveKeys appends the keys of the candidate ids that survive the
@@ -886,15 +877,10 @@ func appendLiveKeys(dst []string, sn *snapshot, seg *segment, ids []uint32) []st
 // sealed partition would convert it (Eq. 7, conservative), the tuner picks
 // one (b, r) for the whole scan, and an entry matches if any of the b bands
 // of r hash values collide — the LSH forest's collision condition, without
-// the forest.
+// the forest. tStar must already be clamped.
 func (x *Index) appendBufferMatches(ctx context.Context, dst []string, sn *snapshot, sig minhash.Signature, querySize int, tStar float64, tr *QueryTrace) ([]string, error) {
 	if len(sn.buf) == 0 {
 		return dst, nil
-	}
-	if tStar < 0 {
-		tStar = 0
-	} else if tStar > 1 {
-		tStar = 1
 	}
 	q := float64(querySize)
 	u := float64(sn.bufMax)
@@ -909,21 +895,19 @@ func (x *Index) appendBufferMatches(ctx context.Context, dst []string, sn *snaps
 	// buffered entry's leading values — so an all-miss query cannot match
 	// any buffered entry and the linear scan is skipped (no false
 	// negatives, same argument as segMeta.mayCollide).
-	if sn.bufBloom != nil {
-		may := false
-		for off := 0; off < len(sig); off += rMax {
-			if sn.bufBloom.MayContainHash(sig[off] & mask) {
-				may = true
-				break
-			}
+	may := false
+	for off := 0; off < len(sig); off += rMax {
+		if sn.bufBloom.MayContainHash(sig[off] & mask) {
+			may = true
+			break
 		}
-		if !may {
-			x.bufBloomSkips.Add(1)
-			if tr != nil {
-				tr.BufferBloomSkipped = true
-			}
-			return dst, nil
+	}
+	if !may {
+		x.bufBloomSkips.Add(1)
+		if tr != nil {
+			tr.BufferBloomSkipped = true
 		}
+		return dst, nil
 	}
 	x.bufScans.Add(1)
 	if tr != nil {
@@ -992,133 +976,60 @@ func sketchContainment(sb core.SketchBackend, a, b minhash.Signature, q, x float
 }
 
 // QueryBatch answers every query of the batch (the daemon's high-throughput
-// path), fanning each sealed segment's probes across up to `workers`
-// goroutines through the core batch engine, then scanning the buffer. Rows
-// are in query order; each row holds the keys of the query's live
-// candidates. Like Query it is lock-free against writers and the compactor.
-//
-// The batch path shares the planner with Query: result-cache hits answer a
-// query outright, and each remaining query is dispatched only to the
-// segments its plan and Bloom pre-test cannot rule out, so a segment's
-// batch shrinks to the queries that can actually collide there. Rows are
-// identical to the unplanned fan-out either way.
+// path): row i is exactly what Query would answer for queries[i], all rows
+// against one snapshot. Rows are in query order. Like Query it is lock-free
+// against writers and the compactor.
 func (x *Index) QueryBatch(queries []core.BatchQuery, workers int) [][]string {
 	rows, _ := x.QueryBatchContext(context.Background(), queries, workers)
 	return rows
 }
 
-// QueryBatchContext is QueryBatch under a context: the per-segment batch
-// dispatch inherits ctx (core.QueryBatchIntoContext stops its workers after
-// at most one in-flight query each) and the fan-out checks ctx between
-// segments, so a disconnected client or expired deadline stops the batch
+// QueryBatchContext is QueryBatch under a context. The rows fan out over
+// min(workers, GOMAXPROCS) goroutines (0 or a negative value selects
+// GOMAXPROCS), each row running the single-query body against one pinned
+// snapshot — so result-cache hits, pruning and the buffer scan behave per
+// row exactly as in QueryAppendContext. ctx is checked before every row and
+// inside it, so a disconnected client or expired deadline stops the batch
 // instead of burning CPU to completion. On cancellation it returns
-// (nil, ctx.Err()); partial rows are discarded, never cached.
+// (nil, ctx.Err()); a canceled row is never cached. One KindBatch
+// observation covers the whole batch.
 func (x *Index) QueryBatchContext(ctx context.Context, queries []core.BatchQuery, workers int) ([][]string, error) {
-	if o := x.getObserver(); o != nil {
-		start := time.Now()
-		rows, err := x.queryBatchContext(ctx, queries, workers)
-		o.ObserveQuery(KindBatch, time.Since(start))
-		return rows, err
-	}
-	return x.queryBatchContext(ctx, queries, workers)
-}
-
-func (x *Index) queryBatchContext(ctx context.Context, queries []core.BatchQuery, workers int) ([][]string, error) {
+	p := x.begin(ctx)
+	defer x.end(p, KindBatch)
 	rows := make([][]string, len(queries))
-	if len(queries) == 0 {
-		return rows, nil
-	}
-	sn := x.acquireSnap()
-	defer x.releaseSnap(sn)
-
-	// Normalize once (clamped signatures and thresholds), resolve cache
-	// hits, and keep the indices still needing the fan-out.
-	norm := make([]core.BatchQuery, len(queries))
-	tBitsOf := make([]uint64, len(queries))
-	hashOf := make([]uint64, len(queries))
-	pending := make([]int, 0, len(queries))
-	for i := range queries {
-		q := queries[i]
-		if q.Size <= 0 {
-			continue // invalid size → empty row, matching the core batch contract
+	scratch := make([]*queryScratch, par.Clamp(batchWorkers(workers), len(queries)))
+	par.Drain(len(queries), len(scratch), func(w, i int) {
+		if ctx.Err() != nil {
+			return
 		}
-		if len(q.Sig) > x.opts.NumHash {
-			q.Sig = q.Sig[:x.opts.NumHash]
+		if scratch[w] == nil {
+			scratch[w] = x.acquireScratch()
 		}
-		q.Threshold = clampThreshold(q.Threshold)
-		norm[i] = q
-		tBitsOf[i] = math.Float64bits(q.Threshold)
-		if x.rc != nil {
-			hashOf[i] = queryHash(q.Sig, q.Size, tBitsOf[i])
-			if e := x.lookupResult(sn, q.Sig, q.Size, tBitsOf[i], hashOf[i]); e != nil {
-				x.resHits.Add(1)
-				rows[i] = append(rows[i], e.keys...)
-				continue
-			}
-			x.resMisses.Add(1)
-		}
-		pending = append(pending, i)
-	}
-	if len(pending) == 0 {
-		return rows, nil
-	}
-
-	// Per-query plans (shared through the plan cache, so a batch of
-	// repeated shapes resolves them once).
-	var planOf []*segPlan
-	if !x.opts.DisablePruning {
-		planOf = make([]*segPlan, len(queries))
-		for _, qi := range pending {
-			planOf[qi] = x.planFor(sn, norm[qi].Size, norm[qi].Threshold)
+		q := &queries[i]
+		// Each row gets a nil trace: rows run concurrently, so one shared
+		// trace would race.
+		rows[i], _ = x.queryPinned(ctx, nil, scratch[w], p.sn, q.Sig, q.Size, q.Threshold, nil)
+	})
+	for _, s := range scratch {
+		if s != nil {
+			x.releaseScratch(s)
 		}
 	}
-
-	var res core.BatchResults
-	sub := make([]core.BatchQuery, 0, len(pending))
-	subIdx := make([]int, 0, len(pending))
-	for si, seg := range sn.segs {
-		sub, subIdx = sub[:0], subIdx[:0]
-		for _, qi := range pending {
-			if planOf != nil {
-				if planOf[qi].params[si] == nil {
-					x.segRangePruned.Add(1)
-					continue
-				}
-				if !seg.meta.mayCollide(norm[qi].Sig, x.opts.RMax, x.opts.Sketch.Mask()) {
-					x.segBloomPruned.Add(1)
-					continue
-				}
-				x.segProbed.Add(1)
-			}
-			sub = append(sub, norm[qi])
-			subIdx = append(subIdx, qi)
-		}
-		if len(sub) == 0 {
-			continue
-		}
-		if err := seg.idx.QueryBatchIntoContext(ctx, &res, sub, workers); err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, ctxErr
-			}
-			continue // unreachable: sealed segments are never dirty
-		}
-		for j, qi := range subIdx {
-			rows[qi] = appendLiveKeys(rows[qi], sn, seg, res.Row(j))
-		}
-	}
-	for _, qi := range pending {
-		if len(sn.buf) > 0 {
-			var err error
-			rows[qi], err = x.appendBufferMatches(ctx, rows[qi], sn, norm[qi].Sig, norm[qi].Size, norm[qi].Threshold, nil)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if x.rc != nil {
-			x.storeResult(sn, norm[qi].Sig, norm[qi].Size, tBitsOf[qi], hashOf[qi], rows[qi])
-		}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	return rows, nil
+}
+
+// batchWorkers bounds a batch's fan-out. The worker count can arrive off
+// the wire (serve.BatchRequest.Workers), so it is capped at GOMAXPROCS —
+// goroutines beyond the procs add scheduling, not throughput — and 0 or a
+// negative value selects GOMAXPROCS.
+func batchWorkers(workers int) int {
+	if procs := runtime.GOMAXPROCS(0); workers <= 0 || workers > procs {
+		return procs
+	}
+	return workers
 }
 
 // QueryTopK returns (up to) k live domains ranked by estimated containment
@@ -1137,24 +1048,13 @@ func (x *Index) QueryTopK(sig minhash.Signature, querySize, k int) []core.TopKRe
 // segment visit, so a canceled request stops ranking instead of walking the
 // remaining segments. On cancellation it returns (nil, ctx.Err()).
 func (x *Index) QueryTopKContext(ctx context.Context, sig minhash.Signature, querySize, k int) ([]core.TopKResult, error) {
-	if o := x.getObserver(); o != nil {
-		start := time.Now()
-		results, err := x.queryTopKContext(ctx, sig, querySize, k)
-		o.ObserveQuery(KindTopK, time.Since(start))
-		return results, err
-	}
-	return x.queryTopKContext(ctx, sig, querySize, k)
-}
-
-func (x *Index) queryTopKContext(ctx context.Context, sig minhash.Signature, querySize, k int) ([]core.TopKResult, error) {
+	p := x.begin(ctx)
+	defer x.end(p, KindTopK)
 	if k <= 0 || querySize <= 0 {
 		return nil, nil
 	}
-	if len(sig) > x.opts.NumHash {
-		sig = sig[:x.opts.NumHash]
-	}
-	sn := x.acquireSnap()
-	defer x.releaseSnap(sn)
+	sn := p.sn
+	sig = x.clampSig(sig)
 	q := float64(querySize)
 	// Tombstoned candidates are filtered after collection, so ask each
 	// segment for enough ids to survive the worst-case filtering.
@@ -1162,28 +1062,23 @@ func (x *Index) queryTopKContext(ctx context.Context, sig minhash.Signature, que
 	var results []core.TopKResult
 	kth := func() float64 { return results[k-1].EstContainment }
 	rank := func() {
-		sort.Slice(results, func(i, j int) bool {
-			if results[i].EstContainment != results[j].EstContainment {
-				return results[i].EstContainment > results[j].EstContainment
-			}
-			return results[i].Key < results[j].Key
-		})
+		slices.SortFunc(results, core.CompareTopK)
 		if len(results) > k {
 			results = results[:k]
 		}
 	}
 	s := x.acquireScratch()
+	defer x.releaseScratch(s)
 	terminated := false
 	for _, si := range sn.topkOrder {
 		if err := ctx.Err(); err != nil {
-			x.releaseScratch(s)
 			return nil, err
 		}
 		seg := sn.segs[si]
 		// Strict >: a remaining segment whose cap ties the current k-th
 		// score could still win its tie-break, so it is only skippable when
 		// even its best possible estimate falls short.
-		if !x.opts.DisablePruning && len(results) >= k && kth() > containmentBound(seg.meta.maxBound, q) {
+		if len(results) >= k && kth() > containmentBound(seg.meta.maxBound, q) {
 			terminated = true
 			break
 		}
@@ -1198,9 +1093,8 @@ func (x *Index) queryTopKContext(ctx context.Context, sig minhash.Signature, que
 		}
 		rank()
 	}
-	x.releaseScratch(s)
 	if len(sn.buf) > 0 {
-		if !x.opts.DisablePruning && len(results) >= k && kth() > containmentBound(sn.bufMax, q) {
+		if len(results) >= k && kth() > containmentBound(sn.bufMax, q) {
 			terminated = true
 		} else {
 			for i := range sn.buf {

@@ -3,6 +3,8 @@ package live
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -411,7 +413,9 @@ func TestBackgroundCompactorSealsAndMerges(t *testing.T) {
 
 func TestQueryBatchMatchesSingle(t *testing.T) {
 	recs := fixture(t, 220, 8)
-	x, err := Build(recs[:180], liveOpts())
+	opts := liveOpts()
+	opts.ResultCacheSize = -1 // every row and every single query runs the fan-out
+	x, err := Build(recs[:180], opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,8 +442,8 @@ func TestQueryBatchMatchesSingle(t *testing.T) {
 		}
 		for i, q := range queries {
 			want := x.Query(q.Sig, q.Size, q.Threshold)
-			if !equalKeySets(rows[i], want) {
-				t.Fatalf("workers=%d row %d: %v != %v", workers, i, sortedKeys(rows[i]), sortedKeys(want))
+			if !reflect.DeepEqual(rows[i], want) {
+				t.Fatalf("workers=%d row %d: %v != %v", workers, i, rows[i], want)
 			}
 		}
 	}
@@ -455,6 +459,17 @@ func TestQueryBatchMatchesSingle(t *testing.T) {
 	if len(rows[0]) != 0 || len(rows[1]) != 0 {
 		t.Fatalf("non-positive query sizes returned %d/%d keys, want empty rows",
 			len(rows[0]), len(rows[1]))
+	}
+}
+
+// TestBatchWorkersBounded pins the batch fan-out bound: a worker count off
+// the wire is capped at GOMAXPROCS, and 0 or a negative count selects it.
+func TestBatchWorkersBounded(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, c := range []struct{ workers, want int }{{-1, 4}, {0, 4}, {1, 1}, {3, 3}, {1 << 20, 4}} {
+		if got := batchWorkers(c.workers); got != c.want {
+			t.Errorf("batchWorkers(%d) = %d, want %d", c.workers, got, c.want)
+		}
 	}
 }
 

@@ -214,15 +214,12 @@ func buildSegPlan(sn *snapshot, querySize int, tStar float64) *segPlan {
 	return p
 }
 
-// planFor returns the plan for (querySize, tStar) against sn, consulting
-// the cache unless disabled. The hit path is one atomic load and one map
-// read. Misses build the plan outside any lock, then publish a copied map
-// under planMu; a racing publish of the same key wastes one build, nothing
-// more. tStar must already be clamped.
+// planFor returns the plan for (querySize, tStar) against sn through the
+// plan cache. The hit path is one atomic load and one map read. Misses
+// build the plan outside any lock, then publish a copied map under planMu;
+// a racing publish of the same key wastes one build, nothing more. tStar
+// must already be clamped.
 func (x *Index) planFor(sn *snapshot, querySize int, tStar float64) *segPlan {
-	if x.opts.DisablePlanCache {
-		return buildSegPlan(sn, querySize, tStar)
-	}
 	tb := x.plans.Load()
 	if tb == nil || tb.segGen != sn.segGen {
 		if tb == nil || tb.segGen < sn.segGen {

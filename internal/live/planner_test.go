@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -23,14 +24,62 @@ func plannerOpts() Options {
 	return o
 }
 
-// unprunedOpts disables every planner feature: the reference configuration
-// the equivalence tests compare against.
-func unprunedOpts() Options {
-	o := liveOpts()
-	o.DisablePruning = true
-	o.DisablePlanCache = true
-	o.ResultCacheSize = -1
-	return o
+// refQuery is the equivalence tests' independent reference over x's
+// current snapshot: every sealed segment probed by core's unplanned
+// QueryIDsAppend, the tombstone filter, and a buffer scan without the Bloom
+// pre-test — no plan cache, no pruning, no result cache.
+func refQuery(x *Index, sig minhash.Signature, querySize int, tStar float64) []string {
+	if querySize <= 0 {
+		return nil
+	}
+	sig, tStar = x.clampSig(sig), clampThreshold(tStar)
+	sn := x.acquireSnap()
+	defer x.releaseSnap(sn)
+	var out []string
+	for _, seg := range sn.segs {
+		ids, _ := seg.idx.QueryIDsAppend(nil, sig, querySize, tStar)
+		out = appendLiveKeys(out, sn, seg, ids)
+	}
+	q, u := float64(querySize), float64(sn.bufMax)
+	if len(sn.buf) == 0 || tStar > 0 && u/q < tStar {
+		return out
+	}
+	p := x.tuner.Optimize(u, q, tStar)
+	for _, e := range sn.buf {
+		if sn.alive(e.rec.Key, e.seq) && bandsCollide(sig, e.rec.Sig, p.B, p.R, x.opts.RMax, x.opts.Sketch.Mask()) {
+			out = append(out, e.rec.Key)
+		}
+	}
+	return out
+}
+
+// refTopK is refQuery's top-k counterpart: every segment's ladder
+// candidates and every buffered entry are scored and ranked together — no
+// visit order, no early exit.
+func refTopK(x *Index, sig minhash.Signature, querySize, k int) []core.TopKResult {
+	if k <= 0 || querySize <= 0 {
+		return nil
+	}
+	sig = x.clampSig(sig)
+	sn := x.acquireSnap()
+	defer x.releaseSnap(sn)
+	var out []core.TopKResult
+	for _, seg := range sn.segs {
+		ids, _ := seg.idx.QueryTopKIDs(nil, sig, querySize, k+len(sn.tombs))
+		for _, id := range ids {
+			if key := seg.idx.Key(id); sn.alive(key, seg.seqs[id]) {
+				out = append(out, core.TopKResult{Key: key, EstContainment: seg.idx.EstContainment(id, sig, querySize)})
+			}
+		}
+	}
+	for _, e := range sn.buf {
+		if sn.alive(e.rec.Key, e.seq) {
+			est := sketchContainment(x.opts.Sketch, sig, e.rec.Sig, float64(querySize), float64(e.rec.Size))
+			out = append(out, core.TopKResult{Key: e.rec.Key, EstContainment: est})
+		}
+	}
+	slices.SortFunc(out, core.CompareTopK)
+	return out[:min(k, len(out))]
 }
 
 // churn applies the same randomized add/delete/seal/merge schedule to every
@@ -77,28 +126,24 @@ func churn(t *testing.T, recs []core.Record, idxs ...*Index) {
 }
 
 // TestPlannedEquivalentToUnprunedUnderChurn is the tentpole equivalence
-// guarantee: with pruning, the plan cache and the result cache all enabled,
+// guarantee: with pruning, the plan cache and the result cache all at work,
 // every query returns byte-identical results (same keys, same order) to the
-// fully disabled configuration, across a randomized churn schedule, for
-// repeated queries (cache hits) included.
+// unplanned reference, across a randomized churn schedule, for repeated
+// queries (cache hits) included.
 func TestPlannedEquivalentToUnprunedUnderChurn(t *testing.T) {
 	recs := fixture(t, 300, 7)
 	planned, err := New(plannerOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := New(unprunedOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	churn(t, recs, planned, plain)
+	churn(t, recs, planned)
 
 	thresholds := []float64{0.0, 0.25, 0.5, 0.75, 0.9, 1.0}
 	check := func(round int) {
 		for qi := 0; qi < len(recs); qi += 3 {
 			r := recs[qi]
 			for _, tStar := range thresholds {
-				want := plain.Query(r.Sig, r.Size, tStar)
+				want := refQuery(planned, r.Sig, r.Size, tStar)
 				got := planned.Query(r.Sig, r.Size, tStar)
 				if !reflect.DeepEqual(want, got) {
 					t.Fatalf("round %d query %d t*=%.2f: planned %v != unpruned %v",
@@ -119,24 +164,19 @@ func TestPlannedEquivalentToUnprunedUnderChurn(t *testing.T) {
 
 	// More churn invalidates both caches; equivalence must survive it.
 	planned.Compact()
-	plain.Compact()
 	check(2)
 	check(3)
 }
 
 // TestBatchPlannedEquivalentToUnpruned runs the same equivalence through
-// the batch engine, including repeated batches (result-cache hits).
+// the batch fan-out, including repeated batches (result-cache hits).
 func TestBatchPlannedEquivalentToUnpruned(t *testing.T) {
 	recs := fixture(t, 300, 8)
 	planned, err := New(plannerOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := New(unprunedOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	churn(t, recs, planned, plain)
+	churn(t, recs, planned)
 
 	queries := make([]core.BatchQuery, 0, 120)
 	for qi := 0; qi < 340; qi += 3 {
@@ -144,8 +184,11 @@ func TestBatchPlannedEquivalentToUnpruned(t *testing.T) {
 		queries = append(queries, core.BatchQuery{Sig: r.Sig, Size: r.Size, Threshold: float64(qi%5) * 0.2})
 	}
 	queries = append(queries, core.BatchQuery{Sig: recs[0].Sig, Size: 0, Threshold: 0.5}) // invalid → nil row
+	want := make([][]string, len(queries))
+	for i, q := range queries {
+		want[i] = refQuery(planned, q.Sig, q.Size, q.Threshold)
+	}
 	for round := 0; round < 3; round++ {
-		want := plain.QueryBatch(queries, 4)
 		got := planned.QueryBatch(queries, 4)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("round %d: batch rows diverge", round)
@@ -200,15 +243,11 @@ func TestTopKPlannedEquivalentToUnpruned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := New(unprunedOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	churn(t, recs, planned, plain)
+	churn(t, recs, planned)
 	for qi := 0; qi < len(recs); qi += 7 {
 		r := recs[qi]
 		for _, k := range []int{1, 3, 10, 50} {
-			want := plain.QueryTopK(r.Sig, r.Size, k)
+			want := refTopK(planned, r.Sig, r.Size, k)
 			got := planned.QueryTopK(r.Sig, r.Size, k)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("query %d k=%d: planned %v != unpruned %v", qi, k, got, want)

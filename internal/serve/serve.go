@@ -287,7 +287,8 @@ type TopKResponse struct {
 // BatchRequest carries many queries answered in one round trip.
 type BatchRequest struct {
 	Queries []QueryRequest `json:"queries"`
-	// Workers bounds the fan-out of the batch dispatch (0 = GOMAXPROCS).
+	// Workers bounds the batch fan-out. The index caps it at GOMAXPROCS;
+	// 0 or a negative value selects GOMAXPROCS.
 	Workers int `json:"workers"`
 }
 
