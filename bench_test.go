@@ -733,22 +733,23 @@ func manySegmentsIndex(b *testing.B, opts lshensemble.LiveOptions, pools, hotPoo
 // a few of them — the skewed shape a long-running daemon reaches. 8 of 32
 // segments hold candidates; the planner's Bloom/range metadata must rule the
 // other 24 out without probing (pruned-frac reports the skipped share). The
-// result cache stays off so the time is planning and probing, not
-// memoization.
+// result cache stays off so the time is pruning and probing, not
+// memoization; each probed segment's partitions are tuned through that
+// segment's (b, r) memo.
 func BenchmarkLiveQueryManySegments(b *testing.B) {
 	const pools, hotPools = 32, 8
 	run := func(b *testing.B, opts lshensemble.LiveOptions) {
 		idx, hot := manySegmentsIndex(b, opts, pools, hotPools)
 		defer idx.Close()
 		// A fixed 64-query working set spread across the hot pools: a steady
-		// query mix whose distinct (size, threshold) plans all fit the plan
-		// cache, so the timed loop measures the planner's steady state.
+		// query mix whose (b, r) tunings are all memoized after one warm-up
+		// pass, so the timed loop measures the planner's steady state.
 		queries := make([]lshensemble.DomainRecord, 64)
 		for i := range queries {
 			queries[i] = hot[i*17%len(hot)]
 		}
 		var dst []string
-		for _, r := range queries { // warm scratch + plan cache
+		for _, r := range queries { // warm scratch + (b, r) memos
 			dst = idx.QueryAppend(dst[:0], r.Sig, r.Size, 0.5)
 		}
 		st := idx.Stats()
@@ -853,7 +854,7 @@ func BenchmarkLiveQueryMmapVsHeap(b *testing.B) {
 		idx := outOfCoreBenchIndex(b, f, dataDir, mmap)
 		defer idx.Close()
 		var dst []string
-		for _, qi := range f.queries { // warm scratch, plan cache, page cache
+		for _, qi := range f.queries { // warm scratch, (b, r) memos, page cache
 			dst = idx.QueryAppend(dst[:0], f.records[qi].Sig, f.records[qi].Size, 0.5)
 		}
 		b.ReportAllocs()

@@ -138,10 +138,11 @@
 // Bloom filters) that lets the query path skip segments which provably
 // cannot contain a candidate, and QueryTopK visits segments in
 // largest-bound-first order with early termination. Pruning never changes
-// an answer — planned results are byte-identical to a full scan. Two
-// caches ride on snapshot generations (a tuned-(b,r) plan cache and a
-// lock-free result cache) and are validated by a single generation
-// compare on read, so repeated queries against an unchanged corpus are
+// an answer — planned results are byte-identical to a full scan. Segments
+// that survive are probed through the core query path, whose tuner
+// memoizes each partition's (b, r). A lock-free result cache rides on the
+// snapshot generation and is validated by a single generation compare on
+// read, so repeated queries against an unchanged corpus are
 // allocation-free cache hits. LiveOptions.ResultCacheSize sizes the
 // result cache; LiveStats reports per-segment metadata and prune/hit
 // counters. LiveIndex.QueryBatch is a bounded fan-out of the single-query
@@ -240,8 +241,8 @@
 // domains, segments, buffered entries, tombstones and segment resident/
 // file bytes, seal/merge/spill counters, and the planner's decision
 // counters (lshensembled_planner_segments_total{decision=probed|
-// range_pruned|bloom_pruned}, plan/result-cache hit/miss, top-k early
-// exits, buffer scans vs Bloom skips) mirrored from LiveStats at scrape
+// range_pruned|bloom_pruned}, result-cache hit/miss, top-k early exits,
+// buffer scans vs Bloom skips) mirrored from LiveStats at scrape
 // time so the query path pays nothing for them.
 //
 // lshrouter exports the same per-endpoint HTTP families under the

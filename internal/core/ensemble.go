@@ -40,7 +40,7 @@ type PartitionerFunc func(sizes []int, n int) []partition.Partition
 
 // Options configures Build. Zero values select the defaults used in the
 // paper's experiments (m = 256 hash functions, trees of depth 8,
-// 16 partitions, equi-depth partitioning, parallel query).
+// 16 partitions, equi-depth partitioning).
 type Options struct {
 	// NumHash is the MinHash signature length m. Default 256.
 	NumHash int
@@ -59,12 +59,6 @@ type Options struct {
 	// b-bit backends trade estimation accuracy for a 8x/4x/2x smaller store.
 	// Must be an indexable backend (KMV is evaluation-only).
 	Sketch SketchBackend
-	// Sequential is retained for configuration compatibility. The query
-	// path now probes partitions sequentially with pooled, allocation-free
-	// scratch in every mode (a goroutine per partition per query cost more
-	// than the probes it parallelized); concurrency across queries is the
-	// caller's, and remains safe.
-	Sequential bool
 }
 
 func (o Options) withDefaults() Options {
@@ -148,7 +142,7 @@ type Index struct {
 // reusable result buffer, and the probe callback. The callback is allocated
 // once per scratch (not per probe): it reaches the forests through the
 // width-erased store interface, which defeats escape analysis, so a closure
-// built inside probePartition would heap-allocate on every partition probe.
+// built per probe would heap-allocate on every partition probe.
 type queryScratch struct {
 	seen dedup.Set
 	ids  []uint32
@@ -459,105 +453,22 @@ func clampThreshold(tStar float64) float64 {
 // collapses the multiple trees of a single forest reporting the same id.
 func (x *Index) queryInto(dst []uint32, s *queryScratch, sig minhash.Signature, querySize int, tStar float64) []uint32 {
 	tStar = clampThreshold(tStar)
-	for pi := range x.parts {
-		if params, ok := x.partitionParams(pi, querySize, tStar); ok {
-			dst = x.probePartition(dst, s, pi, sig, params)
-		}
-	}
-	return dst
-}
-
-// partitionParams resolves the banding decision for one partition: the
-// tuned (b, r) the probe will use, or ok = false when the partition is
-// skipped (empty, or no domain in it can reach the threshold — containment
-// is at most x/q ≤ u/q). tStar must already be clamped to [0, 1].
-func (x *Index) partitionParams(pi int, querySize int, tStar float64) (tune.Params, bool) {
-	p := &x.parts[pi]
-	if p.forest.Len() == 0 {
-		return tune.Params{}, false
-	}
 	q := float64(querySize)
-	u := float64(p.upper)
-	if tStar > 0 && u/q < tStar {
-		return tune.Params{}, false
-	}
-	return x.opt.Optimize(u, q, tStar), true
-}
-
-// probePartition probes one partition with the given banding parameters and
-// appends candidate ids to dst. The visited array only ever collapses the
-// multiple trees of one forest reporting the same id: partitions hold
-// disjoint id sets.
-func (x *Index) probePartition(dst []uint32, s *queryScratch, pi int, sig minhash.Signature, params tune.Params) []uint32 {
 	s.dst = dst
-	x.parts[pi].forest.Query(sig, params.B, params.R, s.emit)
+	for pi := range x.parts {
+		p := &x.parts[pi]
+		u := float64(p.upper)
+		// Skip empty partitions and those where no domain can reach the
+		// threshold: containment is at most x/q ≤ u/q.
+		if p.forest.Len() == 0 || (tStar > 0 && u/q < tStar) {
+			continue
+		}
+		params := x.opt.Optimize(u, q, tStar)
+		p.forest.Query(sig, params.B, params.R, s.emit)
+	}
 	dst = s.dst
 	s.dst = nil
 	return dst
-}
-
-// PlanPartitions appends one tune.Params per partition to dst: the exact
-// banding decision the direct query path would make for (querySize, tStar),
-// with the zero Params (B == 0) marking partitions the path skips. The
-// tuner is consulted in one batch, so building a plan takes its cache locks
-// once instead of once per partition. A plan depends only on (querySize,
-// tStar) and the immutable partition bounds, which is what lets layered
-// planners (internal/live) cache plans across queries and replay them with
-// QueryIDsPlannedAppend for results byte-identical to QueryIDsAppend.
-func (x *Index) PlanPartitions(dst []tune.Params, querySize int, tStar float64) []tune.Params {
-	tStar = clampThreshold(tStar)
-	base := len(dst)
-	q := float64(querySize)
-	var us []float64
-	var live []int
-	for pi := range x.parts {
-		dst = append(dst, tune.Params{})
-		p := &x.parts[pi]
-		if p.forest.Len() == 0 {
-			continue
-		}
-		u := float64(p.upper)
-		if tStar > 0 && u/q < tStar {
-			continue
-		}
-		us = append(us, u)
-		live = append(live, base+pi)
-	}
-	if len(us) > 0 {
-		params := make([]tune.Params, len(us))
-		x.opt.OptimizeBatch(us, q, tStar, params)
-		for i, di := range live {
-			dst[di] = params[i]
-		}
-	}
-	return dst
-}
-
-// QueryIDsPlannedAppend is QueryIDsAppend with the per-partition banding
-// decisions precomputed by PlanPartitions on this same index: partitions
-// whose plan entry is the zero Params are skipped, the rest are probed with
-// the planned (b, r). Given a plan built for (querySize, tStar), the
-// appended ids are byte-identical to QueryIDsAppend(dst, sig, querySize,
-// tStar). The plan must have exactly one entry per partition.
-func (x *Index) QueryIDsPlannedAppend(dst []uint32, sig minhash.Signature, plan []tune.Params) ([]uint32, error) {
-	if x.dirty {
-		return dst, ErrDirty
-	}
-	if len(plan) != len(x.parts) {
-		return dst, fmt.Errorf("core: plan covers %d partitions, index has %d", len(plan), len(x.parts))
-	}
-	if len(x.keys) == 0 {
-		return dst, nil
-	}
-	s := x.acquireScratch()
-	for pi, p := range plan {
-		if p.B == 0 {
-			continue
-		}
-		dst = x.probePartition(dst, s, pi, sig, p)
-	}
-	x.releaseScratch(s)
-	return dst, nil
 }
 
 // EachTreeLeading invokes fn once per non-empty (partition, tree) pair with

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"lshensemble/internal/minhash"
-	"lshensemble/internal/tune"
 	"lshensemble/internal/xrand"
 )
 
@@ -32,65 +31,6 @@ func plannedTestIndex(t *testing.T, n int) (*Index, []Record) {
 
 func keyOf(i int) string {
 	return string([]byte{'k', byte('a' + i%26), byte('a' + (i/26)%26), byte('0' + i%10)})
-}
-
-func TestPlannedQueryMatchesDirect(t *testing.T) {
-	x, recs := plannedTestIndex(t, 400)
-	for _, tStar := range []float64{0.0, 0.3, 0.5, 0.8, 1.0} {
-		for qi := 0; qi < 50; qi++ {
-			rec := recs[qi*7%len(recs)]
-			plan := x.PlanPartitions(nil, rec.Size, tStar)
-			if len(plan) != len(x.parts) {
-				t.Fatalf("plan has %d entries, want %d", len(plan), len(x.parts))
-			}
-			direct, err := x.QueryIDsAppend(nil, rec.Sig, rec.Size, tStar)
-			if err != nil {
-				t.Fatal(err)
-			}
-			planned, err := x.QueryIDsPlannedAppend(nil, rec.Sig, plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(direct) != len(planned) {
-				t.Fatalf("t*=%.2f: planned returned %d ids, direct %d", tStar, len(planned), len(direct))
-			}
-			for i := range direct {
-				if direct[i] != planned[i] {
-					t.Fatalf("t*=%.2f: id %d differs: planned %d, direct %d", tStar, i, planned[i], direct[i])
-				}
-			}
-		}
-	}
-}
-
-func TestPlanPartitionsMarksSkips(t *testing.T) {
-	x, _ := plannedTestIndex(t, 200)
-	// A tiny query at a high threshold must rule out the small partitions:
-	// u/q < t* for every partition whose upper bound is below t*·q.
-	plan := x.PlanPartitions(nil, 5000, 0.9)
-	bounds := x.PartitionBounds()
-	skipped := 0
-	for pi, p := range plan {
-		upper := bounds[pi].Upper
-		if float64(upper)/5000 < 0.9 {
-			if p.B != 0 {
-				t.Fatalf("partition %d (upper %d) should be skipped for q=5000 t*=0.9", pi, upper)
-			}
-			skipped++
-		} else if p.B == 0 {
-			t.Fatalf("partition %d (upper %d) wrongly skipped", pi, upper)
-		}
-	}
-	if skipped == 0 {
-		t.Fatal("test index produced no skippable partitions; widen the size spread")
-	}
-}
-
-func TestPlannedAppendRejectsWrongShape(t *testing.T) {
-	x, recs := plannedTestIndex(t, 50)
-	if _, err := x.QueryIDsPlannedAppend(nil, recs[0].Sig, make([]tune.Params, len(x.parts)+1)); err == nil {
-		t.Fatal("mismatched plan length accepted")
-	}
 }
 
 func TestQueryTopKIDsMatchesQueryTopK(t *testing.T) {

@@ -44,10 +44,9 @@
 // signature values of every forest tree. A query consults the metadata
 // before probing:
 //
-//   - range pruning: the (b, r) banding test is planned per partition
-//     (core.PlanPartitions); when every partition of a segment is ruled
-//     out by the containment bound u/|Q| < t*, the segment is skipped
-//     without touching its forest;
+//   - range pruning: when even the segment's largest partition upper bound
+//     u fails the containment bound u/|Q| ≥ t*, every partition is ruled
+//     out and the segment is skipped without touching its forest;
 //   - Bloom pruning: a forest probe at depth ≥ 1 can only match when the
 //     query's per-tree leading signature value occurs in that segment, so
 //     a miss in the leading-value Bloom skips the segment with zero false
@@ -62,21 +61,15 @@
 //
 // # Caches and generation coherence
 //
-// Snapshots carry two monotone generation counters: gen bumps on every
-// publish, segGen only when the sealed-segment set changes (seal, merge,
-// compact — Add/Delete republish with the same segments). They key two
-// caches:
+// Snapshots carry one monotone generation counter, gen, which bumps on
+// every publish (Add, Delete, seal, merge, compact). It keys one cache: a
+// bounded set-associative result cache that memoizes full query answers; a
+// hit appends the cached keys and allocates nothing. The tuned (b, r) of
+// each partition is memoized below it, by the segment's own tune.Optimizer.
 //
-//   - a plan cache (segGen-keyed) memoizes the tuned per-segment (b, r)
-//     plans for a (query size, threshold) pair;
-//   - a bounded set-associative result cache (gen-keyed) memoizes full
-//     query answers; a hit appends the cached keys and allocates nothing.
-//
-// Readers validate one generation number against the snapshot they
-// loaded — no locks on the query path, and a cache entry can never
-// outlive the snapshot shape it was computed against. Tombstone-only
-// changes bump gen, so result-cache coherence holds even though the
-// segment set (and the plan cache) is unchanged.
+// Readers validate the generation against the snapshot they loaded — no
+// locks on the query path, and a cached result can never outlive the
+// snapshot it was computed against.
 //
 // The unsealed buffer has a planner of its own: an atomic Bloom filter over
 // the leading signature value of every buffered entry's trees. A buffer scan
@@ -276,15 +269,13 @@ type snapshot struct {
 
 	// gen increments on EVERY publish (Add, Delete, seal, merge): it keys
 	// the result cache, so a cached result is served only against the exact
-	// state it was computed on. segGen increments only when the sealed
-	// segment set changes (seal, merge): it keys the plan cache, whose
-	// entries depend on segment layout but not on buffered writes.
-	gen    uint64
-	segGen uint64
+	// state it was computed on.
+	gen uint64
 
 	// topkOrder holds segment indices sorted by meta.maxBound descending —
 	// the visit order QueryTopK uses for early termination. Recomputed only
-	// when segGen bumps; Add/Delete publishes share the previous slice.
+	// when the segment set changes; Add/Delete publishes share the previous
+	// slice.
 	topkOrder []int
 
 	// bufBloom filters the leading signature values of this snapshot's
@@ -302,17 +293,15 @@ type snapshot struct {
 	dead atomic.Bool
 }
 
-// successor stamps next as the publication following cur: generations
-// advance (segGen only when the segment set changed) and the top-k visit
-// order is recomputed or inherited accordingly. Callers must hold x.mu so
-// generations are strictly monotonic.
+// successor stamps next as the publication following cur: the generation
+// advances and the top-k visit order is recomputed when the segment set
+// changed, inherited otherwise. Callers must hold x.mu so generations are
+// strictly monotonic.
 func successor(next, cur *snapshot, segsChanged bool) *snapshot {
 	next.gen = cur.gen + 1
 	if segsChanged {
-		next.segGen = cur.segGen + 1
 		next.topkOrder = topkSegOrder(next.segs)
 	} else {
-		next.segGen = cur.segGen
 		next.topkOrder = cur.topkOrder
 	}
 	return next
@@ -362,11 +351,6 @@ type Index struct {
 	nextSegID   atomic.Uint64
 	spillErrors atomic.Uint64
 
-	// Plan cache (planner.go): generation-pinned table of per-segment
-	// banding decisions. planMu serializes publishes; reads are lock-free.
-	plans  atomic.Pointer[planTable]
-	planMu sync.Mutex
-
 	// Result cache (planner.go): set-associative exact-result slots, nil
 	// when disabled. rcMask selects the set; rcClock stamps approximate LRU.
 	rc      []atomic.Pointer[resultEntry]
@@ -377,8 +361,6 @@ type Index struct {
 	segProbed      atomic.Uint64 // segments actually probed by queries
 	segRangePruned atomic.Uint64 // segments skipped: every partition ruled out by size
 	segBloomPruned atomic.Uint64 // segments skipped: no leading value can collide
-	planHits       atomic.Uint64
-	planMisses     atomic.Uint64
 	resHits        atomic.Uint64
 	resMisses      atomic.Uint64
 	topkEarlyExits atomic.Uint64 // QueryTopK calls that stopped before the last segment
@@ -741,7 +723,8 @@ func (x *Index) Query(sig minhash.Signature, querySize int, tStar float64) []str
 // QueryAppend is Query appending into dst (which may be nil). A serving
 // loop reusing dst runs allocation-free in steady state, matching the
 // immutable index's QueryIDsAppend path: both the result-cache hit path and
-// the planned fan-out (with a warm plan cache) append without allocating.
+// the planned fan-out (once the tuners have seen the query's shape) append
+// without allocating.
 func (x *Index) QueryAppend(dst []string, sig minhash.Signature, querySize int, tStar float64) []string {
 	dst, _ = x.QueryAppendContext(context.Background(), dst, sig, querySize, tStar)
 	return dst
@@ -812,44 +795,42 @@ func clampThreshold(t float64) float64 {
 	return t
 }
 
-// querySnapshot runs the planned fan-out over one snapshot: resolve the
-// plan for (querySize, tStar), probe only the segments the plan and the
-// Bloom pre-test cannot rule out, then scan the buffer. sig and tStar must
-// already be clamped. ctx is checked once per segment and periodically
-// inside the buffer scan; on cancellation dst is returned as collected so
-// far alongside ctx.Err(). tr, when non-nil, receives the per-query
-// planner breakdown (mirroring the aggregate counters).
+// querySnapshot runs the planned fan-out over one snapshot: probe, through
+// core's own query path, only the segments the range and Bloom pre-tests
+// cannot rule out, then scan the buffer. sig and tStar must already be
+// clamped. ctx is checked once per segment and periodically inside the
+// buffer scan; on cancellation dst is returned as collected so far
+// alongside ctx.Err(). tr, when non-nil, receives the per-query planner
+// breakdown (mirroring the aggregate counters).
 func (x *Index) querySnapshot(ctx context.Context, dst []string, s *queryScratch, sn *snapshot, sig minhash.Signature, querySize int, tStar float64, tr *QueryTrace) ([]string, error) {
-	if len(sn.segs) > 0 {
-		plan := x.planFor(sn, querySize, tStar)
-		for si, seg := range sn.segs {
-			if err := ctx.Err(); err != nil {
-				return dst, err
-			}
-			pp := plan.params[si]
-			if pp == nil {
-				x.segRangePruned.Add(1)
-				if tr != nil {
-					tr.SegmentsRangePruned++
-				}
-				continue
-			}
-			if !seg.meta.mayCollide(sig, x.opts.RMax, x.opts.Sketch.Mask()) {
-				x.segBloomPruned.Add(1)
-				if tr != nil {
-					tr.SegmentsBloomPruned++
-				}
-				continue
-			}
-			x.segProbed.Add(1)
-			if tr != nil {
-				tr.SegmentsProbed++
-			}
-			// A sealed segment is never dirty and the plan matches its
-			// partition count, so the error path is unreachable.
-			s.ids, _ = seg.idx.QueryIDsPlannedAppend(s.ids[:0], sig, pp)
-			dst = appendLiveKeys(dst, sn, seg, s.ids)
+	q := float64(querySize)
+	for _, seg := range sn.segs {
+		if err := ctx.Err(); err != nil {
+			return dst, err
 		}
+		// Every partition is skipped (core's u/q < t* test) exactly when the
+		// largest non-empty partition bound is.
+		if tStar > 0 && float64(seg.meta.maxBound)/q < tStar {
+			x.segRangePruned.Add(1)
+			if tr != nil {
+				tr.SegmentsRangePruned++
+			}
+			continue
+		}
+		if !seg.meta.mayCollide(sig, x.opts.RMax, x.opts.Sketch.Mask()) {
+			x.segBloomPruned.Add(1)
+			if tr != nil {
+				tr.SegmentsBloomPruned++
+			}
+			continue
+		}
+		x.segProbed.Add(1)
+		if tr != nil {
+			tr.SegmentsProbed++
+		}
+		// A sealed segment is never dirty, so the error path is unreachable.
+		s.ids, _ = seg.idx.QueryIDsAppend(s.ids[:0], sig, querySize, tStar)
+		dst = appendLiveKeys(dst, sn, seg, s.ids)
 	}
 	return x.appendBufferMatches(ctx, dst, sn, sig, querySize, tStar, tr)
 }
@@ -1185,9 +1166,10 @@ type PlannerStats struct {
 	SegmentsProbed      uint64 `json:"segments_probed"`
 	SegmentsRangePruned uint64 `json:"segments_range_pruned"`
 	SegmentsBloomPruned uint64 `json:"segments_bloom_pruned"`
-	// PlanHits / PlanMisses count plan-cache lookups.
-	PlanHits   uint64 `json:"plan_hits"`
-	PlanMisses uint64 `json:"plan_misses"`
+	// Deprecated: always zero; the plan cache was removed.
+	PlanHits uint64 `json:"plan_hits,omitempty"`
+	// Deprecated: always zero; the plan cache was removed.
+	PlanMisses uint64 `json:"plan_misses,omitempty"`
 	// ResultHits / ResultMisses count result-cache lookups (zero when the
 	// cache is disabled).
 	ResultHits   uint64 `json:"result_hits"`
@@ -1219,8 +1201,6 @@ func (x *Index) Stats() Stats {
 			SegmentsProbed:      x.segProbed.Load(),
 			SegmentsRangePruned: x.segRangePruned.Load(),
 			SegmentsBloomPruned: x.segBloomPruned.Load(),
-			PlanHits:            x.planHits.Load(),
-			PlanMisses:          x.planMisses.Load(),
 			ResultHits:          x.resHits.Load(),
 			ResultMisses:        x.resMisses.Load(),
 			TopKEarlyExits:      x.topkEarlyExits.Load(),

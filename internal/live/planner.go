@@ -8,7 +8,6 @@ import (
 	"lshensemble/internal/bloom"
 	"lshensemble/internal/core"
 	"lshensemble/internal/minhash"
-	"lshensemble/internal/tune"
 )
 
 // This file is the segment-aware query planner. A live index accumulates
@@ -17,10 +16,9 @@ import (
 // attaches cheap immutable metadata to each segment at seal/merge time and
 // uses it to rule segments out before their forests are touched:
 //
-//   - size-range pruning: the banding decision of every partition of every
-//     segment depends only on (querySize, tStar) and the partition's frozen
-//     size bounds, so it can be made once per (querySize, tStar) — and a
-//     segment all of whose partitions are skipped is never probed at all;
+//   - size-range pruning: core skips every partition whose upper size bound
+//     u has u/|Q| < t*, so a segment whose largest non-empty partition bound
+//     fails that test has every partition skipped and is never probed;
 //   - Bloom pruning: a forest probe of tree t at any depth r ≥ 1 matches an
 //     entry only if the query's leading hash value sig[t·rMax] occurs
 //     exactly in that tree, so a Bloom filter over every tree's leading
@@ -34,14 +32,11 @@ import (
 // planned queries return byte-identical results to the full fan-out (the
 // package equivalence tests assert this under churn).
 //
-// Two caches sit on top, both coherent with the snapshot's generation
-// counters and lock-free on the read path:
-//
-//   - the plan cache memoizes the per-segment banding decisions per exact
-//     (querySize, tStar) pair, keyed to segGen (bumped only when the
-//     segment set changes — buffered writes don't invalidate plans);
-//   - the result cache memoizes exact query results, keyed to gen (bumped
-//     on every publish — any mutation invalidates all cached results).
+// Segments that survive are probed through core's own query path, whose
+// tune.Optimizer memoizes each partition's (b, r). On top sits one cache,
+// lock-free on the read path: the result cache memoizes exact query
+// results, keyed to the snapshot generation gen (bumped on every publish —
+// any mutation invalidates all cached results).
 
 // Bloom operating points (see bloom.New). Keys use ~1% false positives:
 // a false positive merely costs one unnecessary tombstone sweep. Leading
@@ -165,108 +160,6 @@ func topkSegOrder(segs []*segment) []int {
 		return segs[order[i]].meta.maxBound > segs[order[j]].meta.maxBound
 	})
 	return order
-}
-
-// planKey identifies one cached plan. The key is EXACT — querySize and the
-// raw bits of the clamped threshold — because the partition skip compares
-// u/q < t* exactly; bucketing either value would let a query reuse a plan
-// whose skip decisions differ from its own, breaking the byte-identical
-// equivalence with the unplanned path.
-type planKey struct {
-	size  int
-	tBits uint64
-}
-
-// segPlan holds one plan: per segment, the banding decision of every
-// partition exactly as core.Index.PlanPartitions makes it. A nil entry
-// marks a segment all of whose partitions are skipped for this
-// (querySize, tStar) — the whole segment is range-pruned.
-type segPlan struct {
-	params [][]tune.Params
-}
-
-// planTable is one published generation of the plan cache. The map is
-// immutable once stored (misses publish a copy), so readers index it with
-// no lock; segGen pins it to the segment set it was planned against.
-type planTable struct {
-	segGen uint64
-	m      map[planKey]*segPlan
-}
-
-// planCacheMax bounds the table. Serving workloads see a handful of
-// distinct (querySize, tStar) pairs; when an adversarial mix overflows the
-// bound the table restarts empty rather than growing without limit.
-const planCacheMax = 256
-
-// buildSegPlan computes the plan for (querySize, tStar) against the
-// snapshot's segment set. tStar must already be clamped.
-func buildSegPlan(sn *snapshot, querySize int, tStar float64) *segPlan {
-	p := &segPlan{params: make([][]tune.Params, len(sn.segs))}
-	for si, seg := range sn.segs {
-		pp := seg.idx.PlanPartitions(nil, querySize, tStar)
-		for _, e := range pp {
-			if e.B != 0 {
-				p.params[si] = pp
-				break
-			}
-		}
-	}
-	return p
-}
-
-// planFor returns the plan for (querySize, tStar) against sn through the
-// plan cache. The hit path is one atomic load and one map read. Misses
-// build the plan outside any lock, then publish a copied map under planMu;
-// a racing publish of the same key wastes one build, nothing more. tStar
-// must already be clamped.
-func (x *Index) planFor(sn *snapshot, querySize int, tStar float64) *segPlan {
-	tb := x.plans.Load()
-	if tb == nil || tb.segGen != sn.segGen {
-		if tb == nil || tb.segGen < sn.segGen {
-			// The segment set moved on: restart the table at the new
-			// generation (every cached plan is aligned to a dead layout).
-			x.planMu.Lock()
-			cur := x.plans.Load()
-			if cur == nil || cur.segGen < sn.segGen {
-				tb = &planTable{segGen: sn.segGen, m: map[planKey]*segPlan{}}
-				x.plans.Store(tb)
-			} else {
-				tb = cur
-			}
-			x.planMu.Unlock()
-		}
-		if tb.segGen != sn.segGen {
-			// This reader holds a snapshot older than the table (a seal or
-			// merge published mid-query elsewhere): plan ephemerally.
-			x.planMisses.Add(1)
-			return buildSegPlan(sn, querySize, tStar)
-		}
-	}
-	key := planKey{size: querySize, tBits: math.Float64bits(tStar)}
-	if p, ok := tb.m[key]; ok {
-		x.planHits.Add(1)
-		return p
-	}
-	x.planMisses.Add(1)
-	p := buildSegPlan(sn, querySize, tStar)
-	x.planMu.Lock()
-	if cur := x.plans.Load(); cur.segGen == sn.segGen {
-		if _, ok := cur.m[key]; !ok {
-			var m map[planKey]*segPlan
-			if len(cur.m) >= planCacheMax {
-				m = make(map[planKey]*segPlan, 1)
-			} else {
-				m = make(map[planKey]*segPlan, len(cur.m)+1)
-				for k, v := range cur.m {
-					m[k] = v
-				}
-			}
-			m[key] = p
-			x.plans.Store(&planTable{segGen: sn.segGen, m: m})
-		}
-	}
-	x.planMu.Unlock()
-	return p
 }
 
 // ---- result cache ----

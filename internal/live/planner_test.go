@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -12,6 +13,7 @@ import (
 
 	"lshensemble/internal/core"
 	"lshensemble/internal/minhash"
+	"lshensemble/internal/partition"
 	"lshensemble/internal/xrand"
 )
 
@@ -27,7 +29,7 @@ func plannerOpts() Options {
 // refQuery is the equivalence tests' independent reference over x's
 // current snapshot: every sealed segment probed by core's unplanned
 // QueryIDsAppend, the tombstone filter, and a buffer scan without the Bloom
-// pre-test — no plan cache, no pruning, no result cache.
+// pre-test — no pruning, no result cache.
 func refQuery(x *Index, sig minhash.Signature, querySize int, tStar float64) []string {
 	if querySize <= 0 {
 		return nil
@@ -126,10 +128,10 @@ func churn(t *testing.T, recs []core.Record, idxs ...*Index) {
 }
 
 // TestPlannedEquivalentToUnprunedUnderChurn is the tentpole equivalence
-// guarantee: with pruning, the plan cache and the result cache all at work,
-// every query returns byte-identical results (same keys, same order) to the
-// unplanned reference, across a randomized churn schedule, for repeated
-// queries (cache hits) included.
+// guarantee: with pruning and the result cache at work, every query returns
+// byte-identical results (same keys, same order) to the unplanned
+// reference, across a randomized churn schedule, for repeated queries
+// (cache hits) included.
 func TestPlannedEquivalentToUnprunedUnderChurn(t *testing.T) {
 	recs := fixture(t, 300, 7)
 	planned, err := New(plannerOpts())
@@ -158,11 +160,8 @@ func TestPlannedEquivalentToUnprunedUnderChurn(t *testing.T) {
 	if st.Planner.ResultHits == 0 {
 		t.Fatal("second query round produced no result-cache hits")
 	}
-	if st.Planner.PlanHits == 0 {
-		t.Fatal("repeated query shapes produced no plan-cache hits")
-	}
 
-	// More churn invalidates both caches; equivalence must survive it.
+	// Compaction invalidates the result cache; equivalence must survive it.
 	planned.Compact()
 	check(2)
 	check(3)
@@ -232,6 +231,79 @@ func TestPruningActuallyFires(t *testing.T) {
 	if total := pruned + st.SegmentsProbed; total == 0 || pruned*2 < total {
 		t.Fatalf("pruning barely fires: probed %d, range-pruned %d, bloom-pruned %d",
 			st.SegmentsProbed, st.SegmentsRangePruned, st.SegmentsBloomPruned)
+	}
+}
+
+// TestRangePruneMatchesPartitionSkips pins the segment range prune to core's
+// per-partition skip (u/q < t*): a segment is range-pruned exactly when every
+// non-empty partition is skipped, ties t* = u/q included. The partitioner
+// leaves headroom above the largest size, as core's boundary stretching on
+// Add does, so the prune must read the partition bound, not the largest
+// entry size.
+func TestRangePruneMatchesPartitionSkips(t *testing.T) {
+	const headroom = 37
+	opts := plannerOpts()
+	opts.Partitioner = func(sizes []int, n int) []partition.Partition {
+		parts := partition.EquiDepth(sizes, n)
+		parts[len(parts)-1].Upper += headroom
+		return parts
+	}
+	recs := fixture(t, 300, 17)
+	x, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	churn(t, recs, x)
+	sn := x.acquireSnap()
+	defer x.releaseSnap(sn)
+	if len(sn.segs) < 2 {
+		t.Fatalf("churned fixture left %d segments, want several", len(sn.segs))
+	}
+	sig := x.clampSig(recs[0].Sig)
+	s := x.acquireScratch()
+	defer x.releaseScratch(s)
+	var pruned, kept int
+	for si, seg := range sn.segs {
+		if seg.meta.maxBound == seg.meta.maxSize {
+			t.Fatalf("segment %d has no headroom above its largest size %d", si, seg.meta.maxSize)
+		}
+		bounds := seg.idx.PartitionBounds()
+		one := &snapshot{segs: []*segment{seg}}
+		for _, q := range []int{1, seg.meta.maxBound / 2, seg.meta.maxBound, seg.meta.maxBound + 1, 3 * seg.meta.maxBound} {
+			q = max(q, 1)
+			ts := []float64{0, 0.5, 1}
+			for _, p := range bounds {
+				tie := float64(p.Upper) / float64(q)
+				ts = append(ts, tie, math.Nextafter(tie, 0), math.Nextafter(tie, 2))
+			}
+			for _, tStar := range ts {
+				if tStar < 0 || tStar > 1 {
+					continue
+				}
+				want := true // every non-empty partition skipped
+				for _, p := range bounds {
+					if p.Count > 0 && !(float64(p.Upper)/float64(q) < tStar) {
+						want = false
+					}
+				}
+				var tr QueryTrace
+				if _, err := x.querySnapshot(context.Background(), nil, s, one, sig, q, tStar, &tr); err != nil {
+					t.Fatal(err)
+				}
+				if got := tr.SegmentsRangePruned == 1; got != want {
+					t.Fatalf("segment %d (max bound %d, max size %d) q=%d t*=%v: range-pruned %v, want %v",
+						si, seg.meta.maxBound, seg.meta.maxSize, q, tStar, got, want)
+				}
+				if want {
+					pruned++
+				} else {
+					kept++
+				}
+			}
+		}
+	}
+	if pruned == 0 || kept == 0 {
+		t.Fatalf("grid is one-sided: %d pruned, %d kept", pruned, kept)
 	}
 }
 
@@ -562,23 +634,6 @@ func TestGenerationFlipHammer(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	writer.Wait()
-}
-
-// TestPlanCacheBound: overflowing the plan table restarts it instead of
-// growing without limit.
-func TestPlanCacheBound(t *testing.T) {
-	recs := fixture(t, 80, 15)
-	x, err := Build(recs, plannerOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := recs[0]
-	for i := 0; i < planCacheMax+50; i++ {
-		x.Query(r.Sig, r.Size+i, 0.5) // distinct plan key per query size
-	}
-	if tb := x.plans.Load(); tb == nil || len(tb.m) > planCacheMax {
-		t.Fatalf("plan table exceeded its bound: %d", len(tb.m))
-	}
 }
 
 // TestStatsSegmentDetail: the /stats surface carries per-segment planner

@@ -166,8 +166,6 @@ func (s *Server) registerIndexMetrics(prefix string) {
 	segProbed := s.reg.Counter(prefix+"_planner_segments_total", "Per-(query, segment) planner decisions.", obs.L("decision", "probed"))
 	segRange := s.reg.Counter(prefix+"_planner_segments_total", "Per-(query, segment) planner decisions.", obs.L("decision", "range_pruned"))
 	segBloom := s.reg.Counter(prefix+"_planner_segments_total", "Per-(query, segment) planner decisions.", obs.L("decision", "bloom_pruned"))
-	planHits := s.reg.Counter(prefix+"_planner_plan_cache_total", "Plan-cache lookups by outcome.", obs.L("outcome", "hit"))
-	planMisses := s.reg.Counter(prefix+"_planner_plan_cache_total", "Plan-cache lookups by outcome.", obs.L("outcome", "miss"))
 	resHits := s.reg.Counter(prefix+"_planner_result_cache_total", "Result-cache lookups by outcome.", obs.L("outcome", "hit"))
 	resMisses := s.reg.Counter(prefix+"_planner_result_cache_total", "Result-cache lookups by outcome.", obs.L("outcome", "miss"))
 	topkExits := s.reg.Counter(prefix+"_planner_topk_early_exits_total", "Top-k queries that stopped before visiting every segment.")
@@ -192,8 +190,6 @@ func (s *Server) registerIndexMetrics(prefix string) {
 		segProbed.Store(st.Planner.SegmentsProbed)
 		segRange.Store(st.Planner.SegmentsRangePruned)
 		segBloom.Store(st.Planner.SegmentsBloomPruned)
-		planHits.Store(st.Planner.PlanHits)
-		planMisses.Store(st.Planner.PlanMisses)
 		resHits.Store(st.Planner.ResultHits)
 		resMisses.Store(st.Planner.ResultMisses)
 		topkExits.Store(st.Planner.TopKEarlyExits)

@@ -221,45 +221,6 @@ func (o *Optimizer) Optimize(x, q, tStar float64) Params {
 	return p
 }
 
-// OptimizeBatch fills dst[i] with Optimize(xs[i], q, tStar) for every upper
-// bound in xs, taking the cache locks once per batch instead of once per
-// element. Query planners resolving every partition of every segment in one
-// sweep (internal/live) use it to keep lock traffic off the plan-build path.
-// dst must be at least as long as xs; the results are bit-identical to
-// element-wise Optimize calls.
-func (o *Optimizer) OptimizeBatch(xs []float64, q, tStar float64, dst []Params) {
-	if len(xs) == 0 {
-		return
-	}
-	miss := 0
-	o.mu.RLock()
-	for i, x := range xs {
-		p, ok := o.cache[key(x, q, tStar)]
-		if ok {
-			dst[i] = p
-		} else {
-			dst[i] = Params{} // B == 0 marks a miss
-			miss++
-		}
-	}
-	o.mu.RUnlock()
-	if miss == 0 {
-		return
-	}
-	// Compute misses outside any lock (distinct xs may share a bucket; the
-	// second search is redundant work, not an error), publish in one pass.
-	for i := range xs {
-		if dst[i].B == 0 {
-			dst[i] = o.search(xs[i], q, tStar)
-		}
-	}
-	o.mu.Lock()
-	for i, x := range xs {
-		o.cache[key(x, q, tStar)] = dst[i]
-	}
-	o.mu.Unlock()
-}
-
 // OptimizeUncached performs the grid search without touching the cache.
 // Exposed for the tuning-cache ablation benchmark.
 func (o *Optimizer) OptimizeUncached(x, q, tStar float64) Params {

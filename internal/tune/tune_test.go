@@ -363,27 +363,3 @@ func BenchmarkOptimizeUncached(b *testing.B) {
 		o.OptimizeUncached(1000, 100, 0.5)
 	}
 }
-
-func TestOptimizeBatchMatchesElementwise(t *testing.T) {
-	o := NewOptimizer(32, 8)
-	xs := []float64{10, 100, 1000, 10, 250, 97, 4096}
-	dst := make([]Params, len(xs))
-	o.OptimizeBatch(xs, 200, 0.6, dst)
-	fresh := NewOptimizer(32, 8)
-	for i, x := range xs {
-		if want := fresh.Optimize(x, 200, 0.6); dst[i] != want {
-			t.Fatalf("x=%v: batch %+v != elementwise %+v", x, dst[i], want)
-		}
-	}
-	// Second call is a pure cache hit and must agree with itself.
-	again := make([]Params, len(xs))
-	o.OptimizeBatch(xs, 200, 0.6, again)
-	for i := range xs {
-		if again[i] != dst[i] {
-			t.Fatalf("x=%v: cached %+v != first %+v", xs[i], again[i], dst[i])
-		}
-	}
-	if o.CacheLen() == 0 {
-		t.Fatal("batch optimization did not populate the cache")
-	}
-}
