@@ -472,8 +472,8 @@ func BenchmarkBuildParallel(b *testing.B) {
 }
 
 // BenchmarkQueryBatchThroughput measures steady-state batch serving through
-// QueryBatchInto with a reused BatchResults — the allocation-free
-// high-throughput path. Reported as queries/s; run with -cpu 1,4,8.
+// QueryBatch, a fan-out of the single-query path over GOMAXPROCS workers.
+// Reported as queries/s; run with -cpu 1,4,8.
 func BenchmarkQueryBatchThroughput(b *testing.B) {
 	f := webTableFixture(b, 10000)
 	idx, err := lshensemble.Build(f.records, lshensemble.Options{NumPartitions: 16})
@@ -485,12 +485,13 @@ func BenchmarkQueryBatchThroughput(b *testing.B) {
 		qi := f.queries[i%len(f.queries)]
 		batch[i] = lshensemble.BatchQuery{Sig: f.records[qi].Sig, Size: f.records[qi].Size, Threshold: 0.5}
 	}
-	var res lshensemble.BatchResults
-	idx.QueryBatchInto(&res, batch, 0) // warm pools and tuning cache
+	if _, err := idx.QueryBatch(batch, 0); err != nil { // warm pools and tuning cache
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx.QueryBatchInto(&res, batch, 0)
+		idx.QueryBatch(batch, 0)
 	}
 	b.StopTimer()
 	if secs := b.Elapsed().Seconds(); secs > 0 {

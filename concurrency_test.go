@@ -200,136 +200,10 @@ func TestPublicTopK(t *testing.T) {
 	}
 }
 
-// TestQueryBatchConcurrentWithReindex hammers the batch query engine from
-// several goroutines while a writer keeps growing the index with
-// Add+Reindex, using the documented external synchronization (queries are
-// concurrent-safe with each other; Add/Reindex need exclusive access, as a
-// serving system would arrange with an RWMutex). Run with -race: it
-// exercises the pooled batch state, the per-worker scratches, and the
-// flattened parallel tree rebuild against each other.
-func TestQueryBatchConcurrentWithReindex(t *testing.T) {
-	corpus := datagen.OpenData(datagen.OpenDataConfig{NumDomains: 800, Seed: 24})
-	h := minhash.NewHasher(128, 24)
-	recs := datagen.Records(corpus, h)
-	idx, err := lshensemble.Build(recs, lshensemble.Options{NumHash: 128, RMax: 4, NumPartitions: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := datagen.SampleQueries(corpus, 24, 24)
-	batch := make([]lshensemble.BatchQuery, len(queries))
-	for i, qi := range queries {
-		batch[i] = lshensemble.BatchQuery{Sig: recs[qi].Sig, Size: recs[qi].Size, Threshold: 0.5}
-	}
-
-	var mu sync.RWMutex
-	stop := make(chan struct{})
-	var writerErr error
-	var writerWg sync.WaitGroup
-	writerWg.Add(1)
-	go func() {
-		defer writerWg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			src := recs[i%len(recs)]
-			mu.Lock()
-			err := idx.Add(lshensemble.DomainRecord{
-				Key:  fmt.Sprintf("new-%05d", i),
-				Size: src.Size,
-				Sig:  src.Sig,
-			})
-			if err == nil {
-				idx.Reindex()
-			}
-			mu.Unlock()
-			if err != nil {
-				writerErr = err
-				return
-			}
-		}
-	}()
-
-	const readers = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, readers)
-	for w := 0; w < readers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var res lshensemble.BatchResults
-			for rep := 0; rep < 30; rep++ {
-				mu.RLock()
-				n := uint32(idx.Len())
-				switch rep % 3 {
-				case 0:
-					if err := idx.QueryBatchInto(&res, batch, 3); err != nil {
-						mu.RUnlock()
-						errs <- err
-						return
-					}
-					for i := 0; i < res.NumRows(); i++ {
-						for _, id := range res.Row(i) {
-							if id >= n {
-								mu.RUnlock()
-								errs <- fmt.Errorf("worker %d rep %d: id %d out of range %d", w, rep, id, n)
-								return
-							}
-						}
-					}
-				case 1:
-					rows, err := idx.QueryBatch(batch, 2)
-					if err != nil {
-						mu.RUnlock()
-						errs <- err
-						return
-					}
-					if len(rows) != len(batch) {
-						mu.RUnlock()
-						errs <- fmt.Errorf("worker %d rep %d: %d rows", w, rep, len(rows))
-						return
-					}
-				default:
-					qi := queries[(w+rep)%len(queries)]
-					ids, err := idx.QueryIDs(recs[qi].Sig, recs[qi].Size, 0.5)
-					if err != nil {
-						mu.RUnlock()
-						errs <- err
-						return
-					}
-					seen := make(map[uint32]bool, len(ids))
-					for _, id := range ids {
-						if id >= n || seen[id] {
-							mu.RUnlock()
-							errs <- fmt.Errorf("worker %d rep %d: bad/duplicate id %d", w, rep, id)
-							return
-						}
-						seen[id] = true
-					}
-				}
-				mu.RUnlock()
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(stop)
-	writerWg.Wait()
-	if writerErr != nil {
-		t.Fatal(writerErr)
-	}
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-}
-
 // TestLiveConcurrentChurn hammers a lshensemble.LiveIndex through the
 // public API with concurrent queriers, adders, deleters AND the background
 // compactor running at aggressive thresholds — the live index needs no
-// external synchronization at all, unlike the RWMutex arrangement of
-// TestQueryBatchConcurrentWithReindex above. Run with -race. Queries assert
+// external synchronization at all. Run with -race. Queries assert
 // snapshot invariants (each key at most once, only keys that were ever
 // added); the final compacted state is checked against a model.
 func TestLiveConcurrentChurn(t *testing.T) {
@@ -500,50 +374,5 @@ func TestLiveSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state live QueryAppend allocates %.1f per query, want 0", allocs)
-	}
-}
-
-// TestQueryBatchSteadyStateAllocs proves the batch serving loop performs
-// zero per-query steady-state allocations: growing the batch 4x must not
-// grow the allocation count, and the fixed per-dispatch overhead (worker
-// spawn) must stay within a few allocations per worker.
-func TestQueryBatchSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race runtime allocates and randomizes sync.Pool reuse")
-	}
-	corpus := datagen.OpenData(datagen.OpenDataConfig{NumDomains: 1000, Seed: 25})
-	h := minhash.NewHasher(128, 25)
-	recs := datagen.Records(corpus, h)
-	idx, err := lshensemble.Build(recs, lshensemble.Options{NumHash: 128, RMax: 4, NumPartitions: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := datagen.SampleQueries(corpus, 32, 25)
-	mkBatch := func(n int) []lshensemble.BatchQuery {
-		batch := make([]lshensemble.BatchQuery, n)
-		for i := range batch {
-			qi := queries[i%len(queries)]
-			batch[i] = lshensemble.BatchQuery{Sig: recs[qi].Sig, Size: recs[qi].Size, Threshold: 0.5}
-		}
-		return batch
-	}
-	const workers = 4
-	small, large := mkBatch(128), mkBatch(512)
-	var res lshensemble.BatchResults
-	// Warm every pool (scratches, batch state, arenas) with the largest
-	// shape before measuring.
-	for i := 0; i < 3; i++ {
-		idx.QueryBatchInto(&res, large, workers)
-		idx.QueryBatchInto(&res, small, workers)
-	}
-	allocsSmall := testing.AllocsPerRun(20, func() { idx.QueryBatchInto(&res, small, workers) })
-	allocsLarge := testing.AllocsPerRun(20, func() { idx.QueryBatchInto(&res, large, workers) })
-	perQuery := (allocsLarge - allocsSmall) / float64(len(large)-len(small))
-	if perQuery > 0.01 {
-		t.Errorf("batch allocations grow with batch size: %.1f (128 queries) vs %.1f (512 queries), %.3f allocs/query",
-			allocsSmall, allocsLarge, perQuery)
-	}
-	if maxFixed := float64(4 * workers); allocsLarge > maxFixed {
-		t.Errorf("per-dispatch overhead %.1f allocs exceeds %v (%d workers)", allocsLarge, maxFixed, workers)
 	}
 }

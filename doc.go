@@ -40,7 +40,7 @@
 //	}
 //	index, err := lshensemble.Build(records, lshensemble.Options{NumPartitions: 16})
 //	if err != nil { ... }
-//	matches := index.Query(querySig, len(queryValues), 0.7)
+//	matches, err := index.Query(querySig, len(queryValues), 0.7)
 //
 // # Performance notes
 //
@@ -71,38 +71,32 @@
 // Construction and batch serving fan out over bounded worker pools sized by
 // GOMAXPROCS; all parallel paths degrade to the serial code at one proc.
 // Construction is bit-deterministic at any worker count, and every
-// QueryBatch row matches the serial QueryIDs answer element for element.
+// QueryBatch row is the single-query QueryIDs answer.
 //
 //   - Build routes records to partitions serially (one binary search each),
 //     then fills the disjoint partition forests in parallel, with each
 //     forest's contiguous store pre-sized in a single allocation from the
 //     known member count (lshforest.Forest.Reserve).
-//   - Reindex flattens the rebuild into one job per (partition, tree) pair
-//     and drains the job list through a worker pool, so a few oversized
-//     partitions cannot serialize the tail. Each worker owns one
-//     lshforest.SortScratch for the radix sorts; workers never share
-//     mutable state.
-//   - Index.QueryBatch / Index.QueryBatchInto dispatch a slice of queries
-//     across workers pulling from a shared counter. Every worker owns a
-//     pooled generation-stamped dedup scratch and an append-only result
-//     arena; the arenas merge into the caller's BatchResults at the end.
-//     QueryBatchInto with a reused BatchResults performs zero per-query
-//     steady-state allocations (the whole dispatch costs a fixed handful of
-//     goroutine-spawn allocations, independent of batch size).
+//   - Build then sorts the trees as one job per (partition, tree) pair,
+//     drained through a worker pool, so a few oversized partitions cannot
+//     serialize the tail. Each worker owns one lshforest.SortScratch for
+//     the radix sorts; workers never share mutable state.
+//   - Index.QueryBatch fans the single-query path out over workers pulling
+//     queries from a shared counter; each query draws its pooled dedup
+//     scratch exactly as QueryIDs does.
 //   - Corpus sketching: Hasher.SketchParallel shards one large pre-hashed
 //     value slice across workers (exact — shard minima merge slot-wise);
 //     cmd/lshed sketches whole columns in parallel and serves multi-column
 //     query files through one QueryBatch dispatch (-batch -workers).
 //
-// Concurrency contract: an Index is safe for any number of concurrent
-// readers (Query*, QueryBatch*); Add and Reindex require exclusive access,
-// as with an RWMutex. Querying an Index that has Adds not yet folded in by
-// Reindex returns core.ErrDirty rather than panicking.
+// Concurrency contract: an Index is immutable once built and safe for any
+// number of concurrent queries. Every query entry point rejects a
+// signature shorter than NumHash with an error, never a panic.
 //
 // # Live index
 //
-// LiveIndex (BuildLive) removes the exclusive-access requirement entirely:
-// it is the serving-system layer for corpora that churn under load. A
+// LiveIndex (BuildLive) is the mutable index: the serving-system layer for
+// corpora that churn under load. A
 // LiveIndex holds an atomically-swapped snapshot of three immutable parts —
 // sealed segments (each a frozen Index over a slice of the corpus), an
 // unsealed buffer of recent Adds (scanned as one extra partition with the

@@ -2,7 +2,7 @@
 // churns — drifted batches stream in through Add, stale domains leave
 // through Delete — while the index stays queryable the whole time. The
 // background compactor seals the ingest buffer into segments and merges
-// them as they accumulate; no stop-the-world Reindex ever runs. Partition
+// them as they accumulate; no stop-the-world rebuild ever runs. Partition
 // balance still drifts (each sealed segment re-partitions only its own
 // slice), and a full Compact — the live replacement for the old rebuild —
 // restores equi-depth balance over the surviving corpus.

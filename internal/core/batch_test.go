@@ -13,7 +13,8 @@ func sortedIDs(ids []uint32) []uint32 {
 	return out
 }
 
-// mustQueryIDs is the test shorthand for QueryIDs on a clean index.
+// mustQueryIDs is the test shorthand for QueryIDs; it fails the test on
+// any error.
 func mustQueryIDs(t testing.TB, x *Index, q BatchQuery) []uint32 {
 	t.Helper()
 	ids, err := x.QueryIDs(q.Sig, q.Size, q.Threshold)
@@ -73,37 +74,6 @@ func TestQueryBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestQueryBatchIntoReuse reuses one BatchResults across batches of
-// different shapes and checks rows stay correct — the arena and offset
-// table must be fully reset between calls.
-func TestQueryBatchIntoReuse(t *testing.T) {
-	c := makeCorpus(t, 300, 64, 32)
-	idx, err := Build(c.records, Options{NumHash: 64, RMax: 4, NumPartitions: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res BatchResults
-	for _, n := range []int{17, 50, 3, 50, 1} {
-		queries := make([]BatchQuery, n)
-		for i := range queries {
-			r := c.records[(i*13)%len(c.records)]
-			queries[i] = BatchQuery{Sig: r.Sig, Size: r.Size, Threshold: 0.5}
-		}
-		if err := idx.QueryBatchInto(&res, queries, 4); err != nil {
-			t.Fatal(err)
-		}
-		if res.NumRows() != n {
-			t.Fatalf("n=%d: NumRows %d", n, res.NumRows())
-		}
-		for i, q := range queries {
-			want := mustQueryIDs(t, idx, q)
-			if !equalIDs(sortedIDs(res.Row(i)), sortedIDs(want)) {
-				t.Fatalf("n=%d row %d: got %d ids, want %d", n, i, len(res.Row(i)), len(want))
-			}
-		}
-	}
-}
-
 // TestQueryBatchEdgeCases covers empty batches, zero-size queries, and
 // degenerate thresholds.
 func TestQueryBatchEdgeCases(t *testing.T) {
@@ -132,21 +102,6 @@ func TestQueryBatchEdgeCases(t *testing.T) {
 	}
 	if want := mustQueryIDs(t, idx, BatchQuery{Sig: r.Sig, Size: r.Size, Threshold: 1}); !equalIDs(sortedIDs(rows[2]), sortedIDs(want)) {
 		t.Fatalf("t*>1 row mismatch: %d vs %d", len(rows[2]), len(want))
-	}
-}
-
-// TestQueryBatchErrDirty mirrors the single-query contract.
-func TestQueryBatchErrDirty(t *testing.T) {
-	c := makeCorpus(t, 50, 64, 34)
-	idx, err := Build(c.records, Options{NumHash: 64, RMax: 4, NumPartitions: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.Add(c.records[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := idx.QueryBatch([]BatchQuery{{Sig: c.records[0].Sig, Size: 10, Threshold: 0.5}}, 2); err != ErrDirty {
-		t.Fatalf("QueryBatch on dirty index: err = %v, want ErrDirty", err)
 	}
 }
 

@@ -117,7 +117,8 @@ type sigLoc struct {
 	slot uint32
 }
 
-// Index is a built LSH Ensemble. It is safe for concurrent queries.
+// Index is a built LSH Ensemble: immutable (internal/live is the mutable
+// index) and safe for concurrent queries.
 type Index struct {
 	opts  Options
 	keys  []string
@@ -125,16 +126,11 @@ type Index struct {
 	locs  []sigLoc // per id: which partition forest and slot stores its signature
 	parts []part
 	opt   *tune.Optimizer
-	dirty bool
 
 	// scratch pools *queryScratch values so steady-state queries allocate
 	// nothing: dedup uses a generation-stamped visited array instead of a
 	// fresh map, and result ids accumulate in a reused buffer.
 	scratch sync.Pool
-
-	// batch pools *batchState values (worker arenas + coordination state) so
-	// steady-state QueryBatchInto calls allocate nothing either.
-	batch sync.Pool
 }
 
 // queryScratch is the per-query working memory recycled through
@@ -175,13 +171,10 @@ func (x *Index) releaseScratch(s *queryScratch) {
 // ErrEmpty is returned by Build when no records are given.
 var ErrEmpty = errors.New("core: no records to index")
 
-// ErrDirty is returned by every query entry point when the index holds Adds
-// that Reindex has not folded in yet. Serving systems must treat it as a
-// caller bug (query and Add/Reindex need external synchronization), but it
-// is returned rather than panicking so a daemon thread can refuse the query
-// and keep serving. The deeper invariant — probing an unindexed forest —
-// still panics inside lshforest, as an internal consistency check.
-var ErrDirty = errors.New("core: index has pending adds; call Reindex before querying")
+// ErrShortSignature is returned by every query entry point when the query
+// signature is shorter than the index's NumHash: the probes and the
+// slot-wise estimates read its first NumHash slots and ignore the rest.
+var ErrShortSignature = errors.New("core: query signature shorter than NumHash")
 
 // Build constructs the ensemble over the records. Every record signature
 // must be at least opts.NumHash long and record sizes must be positive.
@@ -223,26 +216,25 @@ func Build(records []Record, opts Options) (*Index, error) {
 			forest: lshforest.NewWidth(opts.NumHash, opts.RMax, opts.Sketch.WidthBytes()),
 		}
 	}
-	// Route every record first (serial — a binary search per record, and
-	// boundary partitions may stretch), grouping member record indices per
-	// partition. The expensive part, copying every signature into its
-	// partition's contiguous store, then runs in parallel: partitions own
-	// disjoint forests, and Reserve sizes each backing array exactly once
-	// from the known member count.
+	// Route every record first (serial — a binary search per record;
+	// partition.Validate guarantees some partition covers every size),
+	// grouping member record indices per partition. The expensive part,
+	// copying every signature into its partition's contiguous store, then
+	// runs in parallel: partitions own disjoint forests, and Reserve sizes
+	// each backing array exactly once from the known member count.
 	members := make([][]int32, len(parts))
 	for _, r := range records {
 		id := uint32(len(idx.keys))
 		idx.keys = append(idx.keys, r.Key)
 		idx.sizes = append(idx.sizes, r.Size)
-		pi := idx.routeIdx(r.Size)
+		pi := sort.Search(len(parts), func(i int) bool { return r.Size <= parts[i].Upper })
 		idx.locs = append(idx.locs, sigLoc{part: uint32(pi), slot: uint32(len(members[pi]))})
 		members[pi] = append(members[pi], int32(id))
 	}
-	idx.dirty = true
 	par.Drain(len(parts), 0, func(_, pi int) {
 		idx.fillPartition(pi, members[pi], records)
 	})
-	idx.Reindex()
+	idx.indexTrees()
 	return idx, nil
 }
 
@@ -256,89 +248,31 @@ func (x *Index) fillPartition(pi int, members []int32, records []Record) {
 	}
 }
 
-// add routes a record to its partition without reindexing.
-func (x *Index) add(r Record) {
-	id := uint32(len(x.keys))
-	x.keys = append(x.keys, r.Key)
-	x.sizes = append(x.sizes, r.Size)
-	pi := x.routeIdx(r.Size)
-	x.locs = append(x.locs, sigLoc{part: uint32(pi), slot: uint32(x.parts[pi].forest.Len())})
-	x.parts[pi].forest.Add(id, r.Sig)
-	x.dirty = true
-}
-
-// routeIdx finds the partition responsible for a domain of the given size.
-// Sizes beyond the last upper bound extend the last partition (its upper
-// bound grows, keeping the conversion conservative).
-func (x *Index) routeIdx(size int) int {
-	i := sort.Search(len(x.parts), func(i int) bool { return size <= x.parts[i].upper })
-	if i == len(x.parts) {
-		i = len(x.parts) - 1
-		x.parts[i].upper = size
-		return i
-	}
-	if size < x.parts[i].lower {
-		x.parts[i].lower = size
-	}
-	return i
-}
-
-// Add inserts a new domain into the ensemble after Build — the dynamic-data
-// path of Section 6.2. The record joins the partition covering its size
-// (the boundary intervals stretch if needed; the partitioning is NOT
-// re-optimized — see examples/dynamic for drift monitoring). Call Reindex
-// before the next Query.
-func (x *Index) Add(r Record) error {
-	if r.Size <= 0 {
-		return fmt.Errorf("core: non-positive size %d", r.Size)
-	}
-	if len(r.Sig) < x.opts.NumHash {
-		return fmt.Errorf("core: signature length %d < NumHash %d", len(r.Sig), x.opts.NumHash)
-	}
-	x.add(r)
-	return nil
-}
-
-// Reindex rebuilds the partition forests after Add calls. The rebuild is
-// flattened into one job per (partition, tree) pair and fanned out over a
-// bounded worker pool, so a handful of oversized partitions cannot serialize
-// the tail the way partition-at-a-time parallelism would. It is a no-op
-// when nothing changed.
-func (x *Index) Reindex() {
-	if !x.dirty {
-		return
-	}
+// indexTrees sorts every partition forest's trees. The work is flattened
+// into one job per (partition, tree) pair and fanned out over a bounded
+// worker pool, so a handful of oversized partitions cannot serialize the
+// tail the way partition-at-a-time parallelism would.
+func (x *Index) indexTrees() {
 	type treeJob struct {
 		f *lshforest.Forest
 		t int
 	}
 	var jobs []treeJob
-	var pending []*lshforest.Forest
 	for i := range x.parts {
 		f := x.parts[i].forest
-		if f.Indexed() {
-			continue
-		}
 		n := f.PrepareTrees() // finalizes empty forests itself
-		if n == 0 {
-			continue
-		}
-		pending = append(pending, f)
 		for t := 0; t < n; t++ {
 			jobs = append(jobs, treeJob{f: f, t: t})
 		}
 	}
-	if len(jobs) > 0 {
-		workers := par.Clamp(0, len(jobs))
-		scratches := make([]lshforest.SortScratch, workers)
-		par.Drain(len(jobs), workers, func(w, i int) {
-			jobs[i].f.RebuildTree(jobs[i].t, &scratches[w])
-		})
+	workers := par.Clamp(0, len(jobs))
+	scratches := make([]lshforest.SortScratch, workers)
+	par.Drain(len(jobs), workers, func(w, i int) {
+		jobs[i].f.RebuildTree(jobs[i].t, &scratches[w])
+	})
+	for i := range x.parts {
+		x.parts[i].forest.FinishTrees()
 	}
-	for _, f := range pending {
-		f.FinishTrees()
-	}
-	x.dirty = false
 }
 
 // Len returns the number of indexed domains.
@@ -416,7 +350,7 @@ func (x *Index) PartitionBounds() []partition.Partition {
 // query under each partition's tuned (b, r). querySize is |Q| (use the
 // exact size when known, or minhash.Signature.Cardinality's estimate —
 // Algorithm 1's approx(|Q|)). tStar is the containment threshold t*.
-// It returns ErrDirty if the index has Adds not yet folded in by Reindex.
+// It returns ErrShortSignature if sig is shorter than NumHash.
 func (x *Index) QueryIDs(sig minhash.Signature, querySize int, tStar float64) ([]uint32, error) {
 	return x.QueryIDsAppend(nil, sig, querySize, tStar)
 }
@@ -424,8 +358,8 @@ func (x *Index) QueryIDs(sig minhash.Signature, querySize int, tStar float64) ([
 // QueryIDsAppend is QueryIDs appending into dst (which may be nil). Reusing
 // dst across queries makes the steady-state query path allocation-free.
 func (x *Index) QueryIDsAppend(dst []uint32, sig minhash.Signature, querySize int, tStar float64) ([]uint32, error) {
-	if x.dirty {
-		return dst, ErrDirty
+	if len(sig) < x.opts.NumHash {
+		return dst, ErrShortSignature
 	}
 	if querySize <= 0 || len(x.keys) == 0 {
 		return dst, nil
@@ -494,8 +428,8 @@ func (x *Index) EachTreeLeading(fn func(tree int, col []uint64)) {
 // Query returns the keys of all candidate domains for the query signature.
 // See QueryIDs for parameter semantics.
 func (x *Index) Query(sig minhash.Signature, querySize int, tStar float64) ([]string, error) {
-	if x.dirty {
-		return nil, ErrDirty
+	if len(sig) < x.opts.NumHash {
+		return nil, ErrShortSignature
 	}
 	if querySize <= 0 || len(x.keys) == 0 {
 		return nil, nil

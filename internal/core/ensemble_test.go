@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -50,8 +52,8 @@ func makeCorpus(t testing.TB, n, numHash int, seed uint64) *testCorpus {
 	return c
 }
 
-// mustQuery is the test shorthand for Query on an index with no pending
-// adds; it fails the test on any error.
+// mustQuery is the test shorthand for Query; it fails the test on any
+// error.
 func mustQuery(t testing.TB, x *Index, sig minhash.Signature, querySize int, tStar float64) []string {
 	t.Helper()
 	res, err := x.Query(sig, querySize, tStar)
@@ -217,112 +219,46 @@ func TestPartitionSkipping(t *testing.T) {
 	}
 }
 
-func TestAddAndReindex(t *testing.T) {
-	c := makeCorpus(t, 100, 128, 6)
-	x, err := Build(c.records[:50], Options{NumHash: 128, RMax: 4, NumPartitions: 4})
+// TestShortSignatureRejected queries with a signature shorter than NumHash
+// through every entry point: each must return ErrShortSignature instead of
+// indexing past the end of the signature.
+func TestShortSignatureRejected(t *testing.T) {
+	c := makeCorpus(t, 50, 64, 7)
+	x, err := Build(c.records, Options{NumHash: 64, RMax: 4, NumPartitions: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range c.records[50:] {
-		if err := x.Add(r); err != nil {
-			t.Fatal(err)
+	full := c.records[0].Sig
+	short, size := full[:10], c.records[0].Size
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Query", func() error { _, err := x.Query(short, size, 0.5); return err }},
+		{"QueryIDs", func() error { _, err := x.QueryIDs(short, size, 0.5); return err }},
+		{"QueryIDsAppend", func() error { _, err := x.QueryIDsAppend(nil, short, size, 0.5); return err }},
+		{"QueryTopK", func() error { _, err := x.QueryTopK(short, size, 3); return err }},
+		{"QueryTopKIDs", func() error { _, err := x.QueryTopKIDs(nil, short, size, 3); return err }},
+		{"QueryBatch", func() error {
+			_, err := x.QueryBatch([]BatchQuery{
+				{Sig: full, Size: size, Threshold: 0.5},
+				{Sig: short, Size: size, Threshold: 0.5},
+			}, 2)
+			return err
+		}},
+	} {
+		if err := tc.run(); !errors.Is(err, ErrShortSignature) {
+			t.Errorf("%s: err = %v, want ErrShortSignature", tc.name, err)
 		}
 	}
-	x.Reindex()
-	if x.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", x.Len())
-	}
-	// Newly added domains must be retrievable.
-	r := c.records[75]
-	found := false
-	for _, k := range mustQuery(t, x, r.Sig, r.Size, 0.9) {
-		if k == r.Key {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("added record not retrievable after Reindex")
-	}
-}
-
-func TestAddOutOfRangeSizeExtendsBoundary(t *testing.T) {
-	h := minhash.NewHasher(64, 1)
-	mk := func(key string, n int) Record {
-		vals := make([]uint64, n)
-		for i := range vals {
-			vals[i] = minhash.HashUint64(uint64(i))
-		}
-		return Record{Key: key, Size: n, Sig: h.Sketch(vals)}
-	}
-	x, err := Build([]Record{mk("a", 10), mk("b", 20), mk("c", 30)}, Options{NumHash: 64, RMax: 4, NumPartitions: 2})
+	// A longer signature is accepted and answers as its NumHash prefix.
+	long := append(append(minhash.Signature(nil), full...), full...)
+	got, err := x.QueryTopK(long, size, 3)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("QueryTopK with a long signature: %v", err)
 	}
-	// Larger than any indexed size → last partition stretches.
-	big := mk("huge", 1000)
-	if err := x.Add(big); err != nil {
-		t.Fatal(err)
-	}
-	// Smaller than any indexed size → first partition stretches.
-	small := mk("tiny", 2)
-	if err := x.Add(small); err != nil {
-		t.Fatal(err)
-	}
-	x.Reindex()
-	bounds := x.PartitionBounds()
-	if bounds[len(bounds)-1].Upper < 1000 {
-		t.Fatalf("last partition upper %d, want >= 1000", bounds[len(bounds)-1].Upper)
-	}
-	if bounds[0].Lower > 2 {
-		t.Fatalf("first partition lower %d, want <= 2", bounds[0].Lower)
-	}
-	for _, r := range []Record{big, small} {
-		found := false
-		for _, k := range mustQuery(t, x, r.Sig, r.Size, 1.0) {
-			if k == r.Key {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("%s not retrievable", r.Key)
-		}
-	}
-}
-
-func TestQueryAfterAddReturnsErrDirty(t *testing.T) {
-	c := makeCorpus(t, 10, 64, 7)
-	x, err := Build(c.records[:9], Options{NumHash: 64, RMax: 4, NumPartitions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := x.Add(c.records[9]); err != nil {
-		t.Fatal(err)
-	}
-	sig, size := c.records[0].Sig, 10
-	if _, err := x.Query(sig, size, 0.5); err != ErrDirty {
-		t.Fatalf("Query on dirty index: err = %v, want ErrDirty", err)
-	}
-	if _, err := x.QueryIDs(sig, size, 0.5); err != ErrDirty {
-		t.Fatalf("QueryIDs on dirty index: err = %v, want ErrDirty", err)
-	}
-	if _, err := x.QueryIDsAppend(nil, sig, size, 0.5); err != ErrDirty {
-		t.Fatalf("QueryIDsAppend on dirty index: err = %v, want ErrDirty", err)
-	}
-	if _, err := x.QueryTopK(sig, size, 3); err != ErrDirty {
-		t.Fatalf("QueryTopK on dirty index: err = %v, want ErrDirty", err)
-	}
-	batch := []BatchQuery{{Sig: sig, Size: size, Threshold: 0.5}}
-	if _, err := x.QueryBatch(batch, 2); err != ErrDirty {
-		t.Fatalf("QueryBatch on dirty index: err = %v, want ErrDirty", err)
-	}
-	var res BatchResults
-	if err := x.QueryBatchInto(&res, batch, 2); err != ErrDirty {
-		t.Fatalf("QueryBatchInto on dirty index: err = %v, want ErrDirty", err)
-	}
-	// Reindex clears the condition.
-	x.Reindex()
-	if _, err := x.Query(sig, size, 0.5); err != nil {
-		t.Fatalf("Query after Reindex: %v", err)
+	if want := mustTopK(t, x, full, size, 3); !reflect.DeepEqual(got, want) {
+		t.Fatalf("QueryTopK with a long signature = %v, want %v", got, want)
 	}
 }
 
@@ -338,6 +274,47 @@ func TestQueryEdgeCases(t *testing.T) {
 	// Threshold clamping must not panic.
 	mustQuery(t, x, c.records[0].Sig, 10, -0.5)
 	mustQuery(t, x, c.records[0].Sig, 10, 1.5)
+}
+
+func TestEachTreeLeadingCoversProbes(t *testing.T) {
+	x, recs := spreadTestIndex(t, 150)
+	// Collect every leading column value; any query that produces a
+	// collision must have its per-tree leading value present in the set —
+	// the invariant segment Bloom pruning relies on.
+	seen := make(map[uint64]bool)
+	trees := 0
+	x.EachTreeLeading(func(tree int, col []uint64) {
+		trees++
+		for _, v := range col {
+			seen[v] = true
+		}
+	})
+	if trees == 0 {
+		t.Fatal("EachTreeLeading visited no trees")
+	}
+	rmax := 8
+	for qi := 0; qi < 30; qi++ {
+		rec := recs[qi%len(recs)]
+		ids, err := x.QueryIDsAppend(nil, rec.Sig, rec.Size, 0.4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ids) == 0 {
+			continue
+		}
+		// At least one tree's leading value must be in the collected set
+		// (in fact every colliding tree's is; one suffices for the test).
+		hit := false
+		for tr := 0; tr*rmax < len(rec.Sig); tr++ {
+			if seen[rec.Sig[tr*rmax]] {
+				hit = true
+				break
+			}
+		}
+		if !hit {
+			t.Fatalf("query %d collided but no leading value found in tree columns", qi)
+		}
+	}
 }
 
 func TestEstimatedQuerySize(t *testing.T) {

@@ -48,19 +48,14 @@ var topKThresholds = func() []float64 {
 // ladder, collecting candidates until at least k are found (or the ladder
 // is exhausted), then ranks them by signature-estimated containment.
 // Results are approximate in the same sense as Query: candidates come from
-// LSH collisions and scores from sketches. It returns ErrDirty if the index
-// has Adds not yet folded in by Reindex.
+// LSH collisions and scores from sketches. It returns ErrShortSignature if
+// sig is shorter than NumHash.
 func (x *Index) QueryTopK(sig minhash.Signature, querySize, k int) ([]TopKResult, error) {
-	if x.dirty {
-		return nil, ErrDirty
+	if len(sig) < x.opts.NumHash {
+		return nil, ErrShortSignature
 	}
 	if k <= 0 || querySize <= 0 || len(x.keys) == 0 {
 		return nil, nil
-	}
-	// Stored signatures are exactly NumHash long (forest flat store); clamp
-	// the query signature so the slot-wise Jaccard estimate lines up.
-	if len(sig) > x.opts.NumHash {
-		sig = sig[:x.opts.NumHash]
 	}
 	s := x.acquireScratch()
 	ids := x.topKIDs(s.ids[:0], s, sig, querySize, k)
@@ -97,16 +92,13 @@ func (x *Index) topKIDs(dst []uint32, s *queryScratch, sig minhash.Signature, qu
 // ladder-walk collection, unscored and unsorted — to dst. Layered callers
 // (internal/live) use it to gather at least k candidates per segment, then
 // score and merge across segments themselves with Key, Size and Signature.
-// It returns ErrDirty if the index has Adds not yet folded in by Reindex.
+// It returns ErrShortSignature if sig is shorter than NumHash.
 func (x *Index) QueryTopKIDs(dst []uint32, sig minhash.Signature, querySize, k int) ([]uint32, error) {
-	if x.dirty {
-		return dst, ErrDirty
+	if len(sig) < x.opts.NumHash {
+		return dst, ErrShortSignature
 	}
 	if k <= 0 || querySize <= 0 || len(x.keys) == 0 {
 		return dst, nil
-	}
-	if len(sig) > x.opts.NumHash {
-		sig = sig[:x.opts.NumHash]
 	}
 	s := x.acquireScratch()
 	dst = x.topKIDs(dst, s, sig, querySize, k)

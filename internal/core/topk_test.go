@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lshensemble/internal/minhash"
+	"lshensemble/internal/xrand"
 )
 
 // topKFixture builds nested prefix domains: domain i holds values
@@ -34,7 +35,8 @@ func topKFixture(t testing.TB, numHash int) (*Index, *minhash.Hasher, [][]uint64
 
 func key(i int) string { return string(rune('a' + i)) }
 
-// mustTopK is the test shorthand for QueryTopK on a clean index.
+// mustTopK is the test shorthand for QueryTopK; it fails the test on any
+// error.
 func mustTopK(t testing.TB, x *Index, sig minhash.Signature, querySize, k int) []TopKResult {
 	t.Helper()
 	top, err := x.QueryTopK(sig, querySize, k)
@@ -117,24 +119,6 @@ func TestQueryTopKSurvivesSerialization(t *testing.T) {
 	}
 }
 
-func TestQueryTopKAfterAdd(t *testing.T) {
-	idx, h, _ := topKFixture(t, 128)
-	n := 500
-	v := make([]uint64, n)
-	for j := range v {
-		v[j] = minhash.HashUint64(uint64(j))
-	}
-	rec := Record{Key: "added", Size: n, Sig: h.Sketch(v)}
-	if err := idx.Add(rec); err != nil {
-		t.Fatal(err)
-	}
-	idx.Reindex()
-	top := mustTopK(t, idx, rec.Sig, n, 1)
-	if len(top) != 1 || top[0].Key != "added" {
-		t.Fatalf("added record not top-1 for itself: %+v", top)
-	}
-}
-
 // TestCompareTopK pins the one ranking order every layer sorts top-k
 // answers with: score descending, ties broken by key ascending.
 func TestCompareTopK(t *testing.T) {
@@ -150,6 +134,62 @@ func TestCompareTopK(t *testing.T) {
 	} {
 		if got := CompareTopK(c.a, c.b); got != c.want {
 			t.Errorf("CompareTopK(%+v, %+v) = %d, want %d", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// spreadTestIndex builds a small index with a size spread wide enough that
+// different (querySize, tStar) pairs skip different partitions.
+func spreadTestIndex(t *testing.T, n int) (*Index, []Record) {
+	t.Helper()
+	rng := xrand.New(42)
+	recs := make([]Record, n)
+	for i := range recs {
+		size := 4 + int(rng.Uint64()%512)
+		sig := make(minhash.Signature, 128)
+		for j := range sig {
+			// Overlapping value pools so queries actually collide.
+			sig[j] = rng.Uint64() % 4096 << 3
+		}
+		recs[i] = Record{Key: keyOf(i), Size: size, Sig: sig}
+	}
+	x, err := Build(recs, Options{NumHash: 128, RMax: 8, NumPartitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x, recs
+}
+
+func keyOf(i int) string {
+	return string([]byte{'k', byte('a' + i%26), byte('a' + (i/26)%26), byte('0' + i%10)})
+}
+
+func TestQueryTopKIDsMatchesQueryTopK(t *testing.T) {
+	x, recs := spreadTestIndex(t, 300)
+	for qi := 0; qi < 20; qi++ {
+		rec := recs[qi*11%len(recs)]
+		const k = 10
+		ids, err := x.QueryTopKIDs(nil, rec.Sig, rec.Size, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := x.QueryTopK(rec.Sig, rec.Size, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// QueryTopK is the scored, ranked, truncated view of the same
+		// candidate collection: every ranked key must appear among the ids.
+		got := make(map[string]bool, len(ids))
+		for _, id := range ids {
+			got[x.Key(id)] = true
+		}
+		for _, r := range full {
+			if !got[r.Key] {
+				t.Fatalf("QueryTopK key %q missing from QueryTopKIDs candidates", r.Key)
+			}
+		}
+		if len(ids) < len(full) {
+			t.Fatalf("candidate set smaller than ranked result: %d < %d", len(ids), len(full))
 		}
 	}
 }

@@ -702,6 +702,15 @@ func (x *Index) end(p pinned, kind QueryKind) {
 	}
 }
 
+// checkSig rejects a query signature shorter than NumHash, the prefix every
+// probe and every stored signature uses, with core.ErrShortSignature.
+func (x *Index) checkSig(sig minhash.Signature) error {
+	if len(sig) < x.opts.NumHash {
+		return core.ErrShortSignature
+	}
+	return nil
+}
+
 // clampSig trims a query signature to NumHash, the prefix every probe and
 // every stored signature uses.
 func (x *Index) clampSig(sig minhash.Signature) minhash.Signature {
@@ -734,7 +743,8 @@ func (x *Index) QueryAppend(dst []string, sig minhash.Signature, querySize int, 
 // segments (and periodically inside the buffer scan), so a canceled request
 // stops probing instead of running the query to completion. On cancellation
 // it returns (nil, ctx.Err()); the partially collected candidates are
-// discarded, never cached.
+// discarded, never cached. A signature shorter than NumHash returns
+// core.ErrShortSignature.
 func (x *Index) QueryContext(ctx context.Context, sig minhash.Signature, querySize int, tStar float64) ([]string, error) {
 	return x.QueryAppendContext(ctx, nil, sig, querySize, tStar)
 }
@@ -743,6 +753,9 @@ func (x *Index) QueryContext(ctx context.Context, sig minhash.Signature, querySi
 // the cancellation semantics. On cancellation dst is returned grown by an
 // unspecified prefix of the answer alongside ctx.Err().
 func (x *Index) QueryAppendContext(ctx context.Context, dst []string, sig minhash.Signature, querySize int, tStar float64) ([]string, error) {
+	if err := x.checkSig(sig); err != nil {
+		return dst, err
+	}
 	p := x.begin(ctx)
 	s := x.acquireScratch()
 	dst, err := x.queryPinned(ctx, dst, s, p.sn, sig, querySize, tStar, p.tr)
@@ -828,7 +841,7 @@ func (x *Index) querySnapshot(ctx context.Context, dst []string, s *queryScratch
 		if tr != nil {
 			tr.SegmentsProbed++
 		}
-		// A sealed segment is never dirty, so the error path is unreachable.
+		// sig was length-checked at entry, so the error path is unreachable.
 		s.ids, _ = seg.idx.QueryIDsAppend(s.ids[:0], sig, querySize, tStar)
 		dst = appendLiveKeys(dst, sn, seg, s.ids)
 	}
@@ -972,9 +985,15 @@ func (x *Index) QueryBatch(queries []core.BatchQuery, workers int) [][]string {
 // row exactly as in QueryAppendContext. ctx is checked before every row and
 // inside it, so a disconnected client or expired deadline stops the batch
 // instead of burning CPU to completion. On cancellation it returns
-// (nil, ctx.Err()); a canceled row is never cached. One KindBatch
-// observation covers the whole batch.
+// (nil, ctx.Err()); a canceled row is never cached. Every row's signature
+// is checked before any row runs: a short one fails the whole batch with
+// core.ErrShortSignature. One KindBatch observation covers the whole batch.
 func (x *Index) QueryBatchContext(ctx context.Context, queries []core.BatchQuery, workers int) ([][]string, error) {
+	for i := range queries {
+		if err := x.checkSig(queries[i].Sig); err != nil {
+			return nil, fmt.Errorf("live: batch query %d: %w", i, err)
+		}
+	}
 	p := x.begin(ctx)
 	defer x.end(p, KindBatch)
 	rows := make([][]string, len(queries))
@@ -1027,8 +1046,12 @@ func (x *Index) QueryTopK(sig minhash.Signature, querySize, k int) []core.TopKRe
 
 // QueryTopKContext is QueryTopK under a context: ctx is checked before each
 // segment visit, so a canceled request stops ranking instead of walking the
-// remaining segments. On cancellation it returns (nil, ctx.Err()).
+// remaining segments. On cancellation it returns (nil, ctx.Err()). A
+// signature shorter than NumHash returns core.ErrShortSignature.
 func (x *Index) QueryTopKContext(ctx context.Context, sig minhash.Signature, querySize, k int) ([]core.TopKResult, error) {
+	if err := x.checkSig(sig); err != nil {
+		return nil, err
+	}
 	p := x.begin(ctx)
 	defer x.end(p, KindTopK)
 	if k <= 0 || querySize <= 0 {
@@ -1063,6 +1086,7 @@ func (x *Index) QueryTopKContext(ctx context.Context, sig minhash.Signature, que
 			terminated = true
 			break
 		}
+		// sig was length-checked at entry, so the error path is unreachable.
 		s.ids, _ = seg.idx.QueryTopKIDs(s.ids[:0], sig, querySize, need)
 		for _, id := range s.ids {
 			key := seg.idx.Key(id)

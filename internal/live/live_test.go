@@ -2,6 +2,8 @@ package live
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -593,6 +595,76 @@ func TestValidation(t *testing.T) {
 	}
 	if !contains(e.Query(recs[0].Sig, recs[0].Size, 1.0), recs[0].Key) {
 		t.Fatal("first Add not retrievable")
+	}
+}
+
+// TestShortSignatureRejected queries a live index holding both sealed
+// segments and a buffer with a signature shorter than NumHash through every
+// entry point: the context-taking ones must return core.ErrShortSignature
+// and their non-context twins nil, none of them indexing past the end of the
+// signature.
+func TestShortSignatureRejected(t *testing.T) {
+	recs := fixture(t, 120, 13)
+	x, err := Build(recs[:100], liveOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	for _, r := range recs[100:] {
+		if _, err := x.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := x.Stats(); len(st.Segments) == 0 || st.Buffered == 0 {
+		t.Fatalf("fixture needs segments and a buffer: %+v", st)
+	}
+	ctx := context.Background()
+	full := recs[0].Sig
+	short, size := full[:10], recs[0].Size
+	batch := []core.BatchQuery{{Sig: full, Size: size, Threshold: 0.5}, {Sig: short, Size: size, Threshold: 0.5}}
+	errShort := core.ErrShortSignature
+	for _, tc := range []struct {
+		name    string
+		wantErr error // nil for the non-context twins, which drop errors
+		run     func() (int, error)
+	}{
+		{"QueryContext", errShort, func() (int, error) {
+			res, err := x.QueryContext(ctx, short, size, 0.5)
+			return len(res), err
+		}},
+		{"QueryAppendContext", errShort, func() (int, error) {
+			res, err := x.QueryAppendContext(ctx, nil, short, size, 0.5)
+			return len(res), err
+		}},
+		{"QueryTopKContext", errShort, func() (int, error) {
+			res, err := x.QueryTopKContext(ctx, short, size, 3)
+			return len(res), err
+		}},
+		{"QueryBatchContext", errShort, func() (int, error) {
+			res, err := x.QueryBatchContext(ctx, batch, 2)
+			return len(res), err
+		}},
+		{"Query", nil, func() (int, error) { return len(x.Query(short, size, 0.5)), nil }},
+		{"QueryAppend", nil, func() (int, error) { return len(x.QueryAppend(nil, short, size, 0.5)), nil }},
+		{"QueryTopK", nil, func() (int, error) { return len(x.QueryTopK(short, size, 3)), nil }},
+		{"QueryBatch", nil, func() (int, error) { return len(x.QueryBatch(batch, 2)), nil }},
+	} {
+		n, err := tc.run()
+		if !errors.Is(err, tc.wantErr) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.wantErr)
+		}
+		if n != 0 {
+			t.Errorf("%s: %d results for a rejected query", tc.name, n)
+		}
+	}
+	// A longer signature is clamped to NumHash, not rejected.
+	long := append(append(minhash.Signature(nil), full...), full...)
+	got, err := x.QueryTopKContext(ctx, long, size, 3)
+	if err != nil {
+		t.Fatalf("QueryTopKContext with a long signature: %v", err)
+	}
+	if want := x.QueryTopK(full, size, 3); !reflect.DeepEqual(got, want) {
+		t.Fatalf("QueryTopKContext with a long signature = %v, want %v", got, want)
 	}
 }
 

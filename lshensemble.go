@@ -66,7 +66,9 @@ type KMVSketch = minhash.KMV
 // hashes.
 func NewKMVSketch(k int) *KMVSketch { return minhash.NewKMV(k) }
 
-// Index is a built LSH Ensemble. It is safe for concurrent queries.
+// Index is a built LSH Ensemble. It is immutable once built and safe for
+// concurrent queries; LiveIndex is the mutable index for corpora that
+// change.
 type Index = core.Index
 
 // PartitionerFunc chooses the size intervals of the ensemble.
@@ -134,10 +136,6 @@ type TopKResult = core.TopKResult
 
 // BatchQuery is one containment query of an Index.QueryBatch batch.
 type BatchQuery = core.BatchQuery
-
-// BatchResults is the reusable destination of Index.QueryBatchInto — the
-// allocation-free batch serving path.
-type BatchResults = core.BatchResults
 
 // LiveIndex is a mutable, always-queryable LSH Ensemble: an
 // atomically-swapped snapshot of sealed immutable segments, an unsealed
