@@ -680,6 +680,62 @@ func BenchmarkLiveIngest(b *testing.B) {
 	}
 }
 
+// deleteBenchIndex builds a live index whose sealed segment holds pending
+// cleared entries (deleted, not yet compacted away) and whose buffer holds
+// work records for the caller to delete.
+func deleteBenchIndex(tb testing.TB, pending, work int) (*lshensemble.LiveIndex, []lshensemble.DomainRecord) {
+	tb.Helper()
+	base := poolRecords(1, pending, 32, 512)
+	idx, err := lshensemble.BuildLive(base, lshensemble.LiveOptions{
+		Options:          lshensemble.Options{NumHash: 128, NumPartitions: 8},
+		ManualCompaction: true,
+		ResultCacheSize:  -1,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, r := range base {
+		idx.Delete(r.Key)
+	}
+	recs := poolRecords(2, work, 32, 512)
+	for _, r := range recs {
+		if _, err := idx.Add(r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return idx, recs
+}
+
+// BenchmarkLiveDelete prices Delete against the clears already pending: a
+// Delete stores one cleared-at slot, so its cost must stay flat from 0 to
+// 10k pending.
+func BenchmarkLiveDelete(b *testing.B) {
+	for _, pending := range []int{0, 1000, 10000} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			const work = 1000
+			idx, recs := deleteBenchIndex(b, pending, work)
+			defer idx.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%work == 0 && i > 0 {
+					// Seal away the cleared working set and buffer it again, so
+					// every Delete sees exactly `pending` earlier clears.
+					b.StopTimer()
+					idx.Flush()
+					for _, r := range recs {
+						if _, err := idx.Add(r); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StartTimer()
+				}
+				idx.Delete(recs[i%work].Key)
+			}
+		})
+	}
+}
+
 // --- Segment-aware query planning ---
 
 // poolRecords synthesizes records whose signature values carry a pool tag in

@@ -317,6 +317,26 @@ func TestLiveConcurrentChurn(t *testing.T) {
 	}
 }
 
+// TestLiveDeleteAllocsFlat: a Delete stores one cleared-at slot, so what it
+// allocates must not grow with the clears already pending.
+func TestLiveDeleteAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race runtime allocates and randomizes sync.Pool reuse")
+	}
+	allocs := func(pending int) float64 {
+		idx, recs := deleteBenchIndex(t, pending, 200)
+		defer idx.Close()
+		i := 0
+		return testing.AllocsPerRun(100, func() {
+			idx.Delete(recs[i].Key)
+			i++
+		})
+	}
+	if none, many := allocs(0), allocs(10000); many > none {
+		t.Fatalf("Delete allocates %.1f per op with 10k clears pending, %.1f with none", many, none)
+	}
+}
+
 // TestLiveSteadyStateAllocs proves the live fan-out keeps the PR 1/PR 2
 // allocation discipline at the public API: steady-state QueryAppend with a
 // reused destination against a multi-segment snapshot (sealed segments, a

@@ -97,11 +97,13 @@
 //
 // LiveIndex (BuildLive) is the mutable index: the serving-system layer for
 // corpora that churn under load. A
-// LiveIndex holds an atomically-swapped snapshot of three immutable parts —
-// sealed segments (each a frozen Index over a slice of the corpus), an
-// unsealed buffer of recent Adds (scanned as one extra partition with the
-// same (b, r) banding test), and a tombstone set recording Deletes and
-// replacements. Its guarantees:
+// LiveIndex holds an atomically-swapped snapshot of two parts — sealed
+// segments (each a frozen Index over a slice of the corpus) and an unsealed
+// buffer of recent Adds (answered as one extra partition with the same
+// (b, r) banding test, through a per-tree index of leading signature
+// values). Every entry carries a "cleared-at" sequence-number slot that a
+// Delete or replacing Add sets; an entry is alive in a snapshot iff its slot
+// is unset or newer than the snapshot. Its guarantees:
 //
 //   - Queries never block on ingest or compaction: readers load the
 //     snapshot pointer once and touch only immutable data; writers and the
@@ -110,8 +112,9 @@
 //     readers in flight keep the snapshot they loaded, and each live key
 //     appears at most once per result.
 //   - Add is an upsert (replacing any previous entry of the key), Delete
-//     tombstones immediately; both serialize on a writer mutex that the
-//     read path never touches.
+//     clears the entry immediately; both serialize on a writer mutex that
+//     the read path never touches, and a clear is one slot store however
+//     many clears are pending.
 //   - A background compactor seals the buffer into a segment past
 //     LiveOptions.SealThreshold and merges the two smallest segments past
 //     LiveOptions.MaxSegments, using the parallel construction path; dead
@@ -119,7 +122,7 @@
 //   - Compaction is equivalence-preserving: full Compact leaves a single
 //     segment that is bit-identical to a fresh Build over the surviving
 //     records in mutation order (and therefore answers every query
-//     identically), with every tombstone purged.
+//     identically), with every cleared entry purged.
 //   - SaveLive/LoadLive persist a point-in-time snapshot for warm restarts;
 //     Save is safe while writers run. The snapshot wire format is
 //     versioned and checksummed: current files (v3) are either
@@ -232,12 +235,12 @@
 // lshensembled_http_request_seconds{endpoint}, and an in-flight gauge —
 // plus the index itself: lshensembled_live_query_seconds{op=query|topk|
 // batch} recorded by an observer hook inside the live index, gauges for
-// domains, segments, buffered entries, tombstones and segment resident/
-// file bytes, seal/merge/spill counters, and the planner's decision
-// counters (lshensembled_planner_segments_total{decision=probed|
+// domains, segments, buffered entries, tombstones (cleared entries not yet
+// compacted away) and segment resident/file bytes, seal/merge/spill
+// counters, and the planner's decision counters (lshensembled_planner_segments_total{decision=probed|
 // range_pruned|bloom_pruned}, result-cache hit/miss, top-k early exits,
-// buffer scans vs Bloom skips) mirrored from LiveStats at scrape
-// time so the query path pays nothing for them.
+// buffer index walks) mirrored from LiveStats at scrape time so the query
+// path pays nothing for them.
 //
 // lshrouter exports the same per-endpoint HTTP families under the
 // lshrouter_ prefix plus fleet health: lshrouter_shards_live,
@@ -251,8 +254,8 @@
 // Debug level; -log-level, -log-json), so one ID follows a query from the
 // router into each shard's log. Queries slower than lshensembled's
 // -slow-query threshold log at Warn with the planner's per-query
-// breakdown (segments probed vs range/Bloom pruned, buffer scanned,
-// result-cache hit). GET /healthz on both binaries is a static
+// breakdown (segments probed vs range/Bloom pruned, buffer walked and its
+// candidates verified, result-cache hit). GET /healthz on both binaries is a static
 // {"status":"ok"} that never touches the index, safe for tight probe
 // loops. -debug-addr starts a separate listener with net/http/pprof under
 // /debug/pprof/ and a /metrics mirror, kept off the serving port.

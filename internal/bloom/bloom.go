@@ -1,13 +1,11 @@
 // Package bloom implements the small, dependency-free Bloom filter the live
 // index attaches to every sealed segment (internal/live's query planner).
-// Two membership questions drive the design:
-//
-//   - "can this segment contain any LSH collision for this query?" — asked
-//     with raw 61-bit MinHash values (the leading value of each forest
-//     tree), which are already near-uniform, so the probe positions are
-//     derived by one cheap mixing round instead of re-hashing;
-//   - "can this segment still shadow this tombstoned key?" — asked with
-//     string keys, hashed with FNV-1a before the same mixing round.
+// The question that drives the design is "can this segment contain any LSH
+// collision for this query?" — asked with raw 61-bit MinHash values (the
+// leading value of each forest tree), which are already near-uniform, so the
+// probe positions are derived by one cheap mixing round instead of
+// re-hashing. Segments also carry a filter over their string keys, hashed
+// with FNV-1a before the same mixing round.
 //
 // A filter answers "maybe" with a tunable false-positive rate and "no" with
 // certainty, which is exactly the contract segment pruning needs: a false
@@ -133,10 +131,6 @@ func HashString(s string) uint64 {
 
 // AddString inserts a string element.
 func (f *Filter) AddString(s string) { f.AddHash(HashString(s)) }
-
-// MayContainString reports whether the string element might have been
-// added. False means definitely not.
-func (f *Filter) MayContainString(s string) bool { return f.MayContainHash(HashString(s)) }
 
 // ErrCorrupt reports a malformed filter encoding.
 var ErrCorrupt = errors.New("bloom: corrupt filter encoding")

@@ -66,6 +66,35 @@ func TestQueryContextCanceled(t *testing.T) {
 	}
 }
 
+// TestQueryContextCanceledBufferOnly: with the whole corpus buffered there
+// is no segment loop to notice cancellation, so the buffer passes of the
+// threshold and top-k shapes must check the context themselves.
+func TestQueryContextCanceledBufferOnly(t *testing.T) {
+	recs := fixture(t, 40, 9)
+	x, err := New(liveOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(x.Close)
+	for _, r := range recs {
+		if _, err := x.Add(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := x.Stats(); len(st.Segments) != 0 || st.Buffered != len(recs) {
+		t.Fatalf("fixture shape wrong: %+v", st)
+	}
+	r := recs[0]
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if got, err := x.QueryContext(ctx, r.Sig, r.Size, 0.5); !errors.Is(err, context.Canceled) || got != nil {
+		t.Fatalf("QueryContext = (%v, %v), want (nil, Canceled)", got, err)
+	}
+	if got, err := x.QueryTopKContext(ctx, r.Sig, r.Size, 5); !errors.Is(err, context.Canceled) || got != nil {
+		t.Fatalf("QueryTopKContext = (%v, %v), want (nil, Canceled)", got, err)
+	}
+}
+
 // TestQueryContextUncanceledMatchesPlain: a live (uncanceled) context must
 // not change any answer relative to the context-free entry points.
 func TestQueryContextUncanceledMatchesPlain(t *testing.T) {

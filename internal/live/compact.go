@@ -3,7 +3,6 @@ package live
 import (
 	"sort"
 
-	"lshensemble/internal/bloom"
 	"lshensemble/internal/core"
 )
 
@@ -15,11 +14,11 @@ import (
 // final pointer swap takes the writer mutex, and readers never take a lock
 // at all — a query in flight keeps the snapshot it loaded.
 //
-// Sequence numbers make this sound under concurrent writes: a segment keeps
-// each entry's seq, so tombstones recorded *while* a build is running still
-// apply to the freshly built segment at query time (the tombstone's seq
-// exceeds the sealed entries' seqs). Compaction filters with the tombstones
-// visible when it starts and never loses a later delete.
+// Sequence numbers make this sound under concurrent writes: a build drops
+// the entries cleared in the snapshot it starts from, and a segment keeps
+// each entry's seq, so the publish step can find every entry a Delete or
+// replacing Add cleared *while* the build ran and copy its cleared-at slot
+// into the new segment. No clear is ever lost.
 
 // compactor is the background loop. It wakes on a nudge (sent by Add when
 // the buffer crosses SealThreshold) and runs the pipeline until the shape
@@ -73,15 +72,15 @@ func (x *Index) Flush() {
 }
 
 // Compact synchronously runs full compaction: the buffer is sealed and all
-// segments merge into (at most) one, dropping every dead entry and every
-// tombstone that no longer shadows anything. The result answers queries
-// exactly like a fresh core.Build over the surviving records.
+// segments merge into (at most) one, dropping every cleared entry. The
+// result answers queries exactly like a fresh core.Build over the surviving
+// records.
 func (x *Index) Compact() {
 	x.compactMu.Lock()
 	defer x.compactMu.Unlock()
 	x.seal(1)
 	sn := x.snap.Load()
-	if len(sn.segs) == 0 || (len(sn.segs) == 1 && len(sn.tombs) == 0) {
+	if len(sn.segs) == 0 || (len(sn.segs) == 1 && sn.cleared == 0) {
 		return
 	}
 	x.mergeSegments(sn.segs)
@@ -110,9 +109,10 @@ func (x *Index) seal(min int) bool {
 	}
 	recs := make([]core.Record, 0, len(buf))
 	seqs := make([]uint64, 0, len(buf))
+	sl := sn.liveSlots(&sn.arena.clear)
 	for i := range buf {
 		e := &buf[i]
-		if !sn.alive(e.rec.Key, e.seq) {
+		if sn.hides(sl, i) {
 			continue
 		}
 		recs = append(recs, e.rec)
@@ -135,31 +135,34 @@ func (x *Index) seal(min int) bool {
 		seg = x.persistSegment(seg)
 	}
 
+	if x.publishHook != nil {
+		x.publishHook()
+	}
 	x.mu.Lock()
 	cur := x.snap.Load()
-	// Entries appended while the build ran stay buffered; relocating them to
-	// a fresh backing array lets the sealed prefix's array be collected once
-	// the old snapshots die. The buffer Bloom filter is rebuilt over the
-	// carried-over entries so it stops answering "maybe" for everything the
-	// seal just removed.
-	rest := cur.buf[len(buf):]
-	back := make([]entry, len(rest), len(rest)+x.opts.SealThreshold)
-	copy(back, rest)
-	x.bufBack = back
-	bufMax := 0
-	bb := x.newBufBloom()
-	for i := range back {
-		if s := back[i].rec.Size; s > bufMax {
-			bufMax = s
+	// cur's buffer starts with the sealed entries (Adds may have moved them
+	// to a larger arena, at the same positions). Clears that landed on them
+	// during the build move into the segment; entries appended meanwhile
+	// stay buffered, moved to a fresh arena so the sealed prefix's array can
+	// be collected once the old snapshots die.
+	slots := cur.arena.clear.load()
+	if seg != nil && slots != nil {
+		carryClears(seg, slots[:len(buf)], func(i int) uint64 { return cur.buf[i].seq })
+	}
+	next := &snapshot{segs: cur.segs, cleared: cur.cleared - (len(buf) - len(recs))}
+	if rest := cur.buf[len(buf):]; len(rest) > 0 {
+		if slots != nil {
+			slots = slots[len(buf):]
 		}
-		addBufLeads(bb, back[i].rec.Sig, x.opts.RMax, x.opts.Sketch.Mask())
+		next.arena = x.newArena(rest, slots, max(16, 2*len(rest)))
+		next.buf = next.arena.ents[:len(rest)]
+		for i := range rest {
+			next.bufMax = max(next.bufMax, rest[i].rec.Size)
+		}
 	}
-	x.bufBloom = bb
-	segs := cur.segs
 	if seg != nil {
-		segs = append(append(make([]*segment, 0, len(cur.segs)+1), cur.segs...), seg)
+		next.segs = append(append(make([]*segment, 0, len(cur.segs)+1), cur.segs...), seg)
 	}
-	next := &snapshot{segs: segs, buf: back, tombs: gcTombs(cur.tombs, segs, back), bufMax: bufMax, bufBloom: bb}
 	old := x.publishLocked(next, cur, true)
 	x.mu.Unlock()
 	x.releaseSnap(old)
@@ -189,10 +192,7 @@ func (x *Index) mergeIfCrowded() bool {
 
 // mergeSegments rebuilds the given segments (identified by pointer in the
 // current snapshot) into at most one new segment holding their surviving
-// entries, and publishes the swap. Every merge runs the exact per-key
-// tombstone sweep (the segment key Blooms make it cheap — see
-// exactGCTombs), so incremental merges retire tombstones as precisely as
-// full compaction does. The caller must hold compactMu.
+// entries, and publishes the swap. The caller must hold compactMu.
 func (x *Index) mergeSegments(victims []*segment) {
 	sn := x.snap.Load()
 	// Gather survivors in ascending seq order: collect per segment (each is
@@ -202,14 +202,16 @@ func (x *Index) mergeSegments(victims []*segment) {
 		seqs []uint64
 	}
 	runs := make([]run, 0, len(victims))
-	total := 0
+	total, held := 0, 0
 	for _, seg := range victims {
 		var r run
+		sl := sn.liveSlots(&seg.clear)
+		held += seg.idx.Len()
 		for id := 0; id < seg.idx.Len(); id++ {
-			key := seg.idx.Key(uint32(id))
-			if !sn.alive(key, seg.seqs[id]) {
+			if sn.hides(sl, id) {
 				continue
 			}
+			key := seg.idx.Key(uint32(id))
 			r.recs = append(r.recs, core.Record{
 				Key:  key,
 				Size: seg.idx.Size(uint32(id)),
@@ -252,11 +254,18 @@ func (x *Index) mergeSegments(victims []*segment) {
 		merged = x.persistSegment(merged)
 	}
 
+	if x.publishHook != nil {
+		x.publishHook()
+	}
 	x.mu.Lock()
 	cur := x.snap.Load()
 	victimSet := make(map[*segment]bool, len(victims))
 	for _, v := range victims {
 		victimSet[v] = true
+		// Clears that landed on carried entries during the build.
+		if sl := v.clear.load(); merged != nil && sl != nil {
+			carryClears(merged, sl, func(i int) uint64 { return v.seqs[i] })
+		}
 	}
 	segs := make([]*segment, 0, len(cur.segs))
 	for _, seg := range cur.segs {
@@ -268,99 +277,9 @@ func (x *Index) mergeSegments(victims []*segment) {
 		segs = append(segs, merged)
 		sort.Slice(segs, func(i, j int) bool { return segs[i].minSeq() < segs[j].minSeq() })
 	}
-	tombs := exactGCTombs(cur.tombs, segs, cur.buf)
-	next := &snapshot{segs: segs, buf: cur.buf, tombs: tombs, bufMax: cur.bufMax, bufBloom: cur.bufBloom}
+	next := &snapshot{segs: segs, buf: cur.buf, arena: cur.arena, cleared: cur.cleared - (held - total), bufMax: cur.bufMax}
 	old := x.publishLocked(next, cur, true)
 	x.mu.Unlock()
 	x.releaseSnap(old)
 	x.merges.Add(1)
-}
-
-// gcTombs drops the tombstones that can no longer shadow anything: a
-// tombstone with sequence number s kills only entries with seq < s, so once
-// every remaining entry's seq is >= s it is inert. This is the cheap
-// O(tombstones) global-minimum bound used on every incremental publish;
-// full Compact pays for the per-key sweep (exactGCTombs) instead, which is
-// what lets it reach the empty-tombstone state.
-func gcTombs(tombs map[string]uint64, segs []*segment, buf []entry) map[string]uint64 {
-	if len(tombs) == 0 {
-		return tombs
-	}
-	var minSeq uint64
-	found := false
-	for _, seg := range segs {
-		if s := seg.minSeq(); !found || s < minSeq {
-			minSeq, found = s, true
-		}
-	}
-	if len(buf) > 0 {
-		if s := buf[0].seq; !found || s < minSeq {
-			minSeq, found = s, true
-		}
-	}
-	if !found {
-		return nil // no entries anywhere: nothing to shadow
-	}
-	drop := 0
-	for _, s := range tombs {
-		if s <= minSeq {
-			drop++
-		}
-	}
-	if drop == 0 {
-		return tombs
-	}
-	next := make(map[string]uint64, len(tombs)-drop)
-	for k, s := range tombs {
-		if s > minSeq {
-			next[k] = s
-		}
-	}
-	return next
-}
-
-// exactGCTombs keeps only the tombstones that still shadow a physically
-// present entry: (key, s) survives iff some remaining entry of that key has
-// seq < s. It runs on every merge; the per-segment key Bloom filters keep
-// the sweep cheap by skipping segments that definitely hold none of the
-// tombstoned keys (a false positive only costs one segment scan, never a
-// wrongly dropped tombstone). Writes racing the merge stay correctly
-// shadowed: their tombstones name entries that still exist, so they are
-// kept.
-func exactGCTombs(tombs map[string]uint64, segs []*segment, buf []entry) map[string]uint64 {
-	if len(tombs) == 0 {
-		return tombs
-	}
-	var next map[string]uint64
-	keep := func(key string, seq uint64) {
-		if s, ok := tombs[key]; ok && seq < s {
-			if next == nil {
-				next = make(map[string]uint64)
-			}
-			next[key] = s
-		}
-	}
-	for _, seg := range segs {
-		if seg.meta != nil && seg.meta.keys != nil && !mayShadowAny(seg.meta.keys, tombs) {
-			continue
-		}
-		for id := 0; id < seg.idx.Len(); id++ {
-			keep(seg.idx.Key(uint32(id)), seg.seqs[id])
-		}
-	}
-	for i := range buf {
-		keep(buf[i].rec.Key, buf[i].seq)
-	}
-	return next
-}
-
-// mayShadowAny reports whether any tombstoned key might occur in a segment
-// whose key Bloom filter is f.
-func mayShadowAny(f *bloom.Filter, tombs map[string]uint64) bool {
-	for k := range tombs {
-		if f.MayContainString(k) {
-			return true
-		}
-	}
-	return false
 }

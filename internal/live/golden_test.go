@@ -42,8 +42,9 @@ func encodeLegacy(t testing.TB, x *Index, version uint32) []byte {
 			buf = binary.LittleEndian.AppendUint64(buf, v)
 		}
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sn.tombs)))
-	for k, s := range sn.tombs { // map order: v1/v2 never promised determinism
+	tombs := sn.tombstones()
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(tombs)))
+	for k, s := range tombs { // map order: v1/v2 never promised determinism
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(k)))
 		buf = append(buf, k...)
 		buf = binary.LittleEndian.AppendUint64(buf, s)

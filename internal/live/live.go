@@ -5,28 +5,28 @@
 //
 // # Model
 //
-// A live Index is an atomically-swapped *snapshot* of three immutable
-// parts:
+// A live Index is an atomically-swapped *snapshot* of two parts:
 //
 //   - sealed segments: each a frozen core.Index over a slice of the corpus,
 //     plus the mutation sequence number of every entry;
-//   - an unsealed buffer: recent Adds, not yet worth an LSH build, scanned
-//     linearly as one extra partition (upper bound = largest buffered size)
-//     with the same (b, r) banding test the forest would apply;
-//   - a tombstone map: key → sequence number of the Delete (or replacing
-//     Add) that cleared it. An entry is live iff no tombstone with a higher
-//     sequence number names its key.
+//   - an unsealed buffer: recent Adds, not yet worth an LSH build, answered
+//     as one extra partition (upper bound = largest buffered size) with the
+//     same (b, r) banding test the forest would apply.
 //
-// Readers load the snapshot pointer once and touch only immutable data, so
-// a query never takes a lock a writer holds: Add, Delete and the compactor
-// publish by building a NEW snapshot and swapping the pointer. Readers in
-// flight keep the old snapshot — every query sees a consistent
-// point-in-time view of the corpus.
+// Every entry also has a "cleared-at" slot: the sequence number of the
+// Delete (or replacing Add) that cleared it, 0 while it is current. The
+// snapshot records the last sequence number it publishes, and an entry is
+// alive in it iff the slot is 0 or greater than that number — so a later
+// clear never changes what an earlier snapshot answers (see buffer.go).
 //
-// Writers (Add/Delete) serialize on a mutex, append to a buffer backing
-// array whose published prefix is never rewritten, and copy the tombstone
-// map on write (it holds only the deletes not yet compacted away, so the
-// copies stay small).
+// Readers load the snapshot pointer once and never take a lock a writer
+// holds: Add, Delete and the compactor publish by building a NEW snapshot
+// and swapping the pointer. Readers in flight keep the old snapshot — every
+// query sees a consistent point-in-time view of the corpus.
+//
+// Writers (Add/Delete) serialize on a mutex. Add appends to a buffer arena
+// whose published prefix is never rewritten; Delete and a replacing Add
+// store one slot, found by binary search of the ascending sequence numbers.
 //
 // A background compactor seals the buffer into a new segment once it
 // crosses Options.SealThreshold, and merges the two smallest segments
@@ -71,12 +71,11 @@
 // locks on the query path, and a cached result can never outlive the
 // snapshot it was computed against.
 //
-// The unsealed buffer has a planner of its own: an atomic Bloom filter over
-// the leading signature value of every buffered entry's trees. A buffer scan
-// can only match when some query leading value occurs in the buffer, so a
-// filter miss skips the linear scan entirely — the cheap analogue of the
-// sealed segments' Bloom pruning, rebuilt whenever a seal relocates the
-// buffer.
+// The unsealed buffer is indexed too: per forest tree, an append-only chain
+// from leading signature value to buffer position. A query walks only the
+// chains of the bands it uses, so it verifies just the buffered entries that
+// share a band's leading value with it — the buffer's analogue of a forest
+// probe, in the same ascending order a linear scan would report.
 //
 // # Out-of-core segments
 //
@@ -109,6 +108,7 @@
 package live
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -118,7 +118,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"lshensemble/internal/bloom"
 	"lshensemble/internal/core"
 	"lshensemble/internal/minhash"
 	"lshensemble/internal/par"
@@ -132,8 +131,9 @@ type Options struct {
 	core.Options
 
 	// SealThreshold is the buffer length that triggers a background seal.
-	// Default 4096. Until sealed, buffered entries are answered by a linear
-	// banding scan, so the threshold bounds the scan cost per query.
+	// Default 4096. Until sealed, buffered entries are answered through the
+	// buffer's chained index and scored linearly by top-k, so the threshold
+	// bounds that cost per query.
 	SealThreshold int
 
 	// MaxSegments is the sealed-segment count above which the compactor
@@ -181,37 +181,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// newTuner builds the (b, r) optimizer every buffer scan shares; its grid
+// newTuner builds the (b, r) optimizer every buffer query shares; its grid
 // matches the one the sealed segments' forests use.
 func newTuner(opts Options) *tune.Optimizer {
 	return tune.NewOptimizer(opts.NumHash/opts.RMax, opts.RMax)
-}
-
-// newBufBloom sizes a fresh buffer filter for one seal cycle's worth of
-// leading values (SealThreshold entries, one value per tree each), at the
-// same operating point as the sealed segments' leads filter.
-func (x *Index) newBufBloom() *bloom.Atomic {
-	numLeads := (x.opts.NumHash + x.opts.RMax - 1) / x.opts.RMax
-	entries := x.opts.SealThreshold * numLeads
-	// NumHash and RMax can come from an untrusted snapshot header, so the
-	// product must not drive the allocation: past the cap the filter is
-	// merely over-occupied, which costs pruning precision, not correctness.
-	const maxBufBloomEntries = 1 << 22
-	if entries > maxBufBloomEntries || entries/x.opts.SealThreshold != numLeads {
-		entries = maxBufBloomEntries
-	}
-	return bloom.NewAtomic(entries, leadsBloomBits, leadsBloomK)
-}
-
-// addBufLeads inserts a signature's per-tree leading values (the same
-// stride mayCollide probes). Buffered signatures are full-width while the
-// sealed stores truncate to the sketch backend's width, so leading values
-// are masked before insertion — the query side masks identically, keeping
-// the filter's zero-false-negative guarantee across the seal boundary.
-func addBufLeads(f *bloom.Atomic, sig minhash.Signature, rMax int, mask uint64) {
-	for off := 0; off < len(sig); off += rMax {
-		f.AddHash(sig[off] & mask)
-	}
 }
 
 // entry is one buffered Add: the record and its mutation sequence number.
@@ -249,6 +222,9 @@ type segment struct {
 	// resident estimates the heap-resident bytes (for mapped segments, only
 	// the eagerly decoded metadata).
 	resident int64
+
+	// clear holds the entries' cleared-at slots (see buffer.go).
+	clear clearSlots
 }
 
 func (s *segment) minSeq() uint64 { return s.seqs[0] }
@@ -257,13 +233,20 @@ func (s *segment) minSeq() uint64 { return s.seqs[0] }
 // reachable from a snapshot is frozen: writers and the compactor publish
 // changes as new snapshots.
 type snapshot struct {
-	segs  []*segment        // ordered by minSeq
-	buf   []entry           // unsealed adds, ascending seq; prefix of the writer's backing array
-	tombs map[string]uint64 // key → seq of the clearing Delete/replacing Add
+	segs  []*segment // ordered by minSeq
+	buf   []entry    // unsealed adds, ascending seq; a written prefix of arena.ents
+	arena *bufArena  // the buffer's backing array, slots and index; nil when never used
+
+	// seq is the last mutation sequence number this snapshot publishes: an
+	// entry is alive in it iff its cleared-at slot is 0 or > seq.
+	seq uint64
+	// cleared counts the entries in segs and buf cleared at or before seq —
+	// the pending deletes and replacements not yet compacted away.
+	cleared int
 
 	// bufMax is the largest size among buffered entries — the buffer's
 	// partition upper bound for threshold conversion. It may exceed the
-	// largest *live* buffered size when the max entry is tombstoned; a too
+	// largest *live* buffered size when the max entry is cleared; a too
 	// large bound is merely conservative (Eq. 7 never loses candidates).
 	bufMax int
 
@@ -277,14 +260,6 @@ type snapshot struct {
 	// when the segment set changes; Add/Delete publishes share the previous
 	// slice.
 	topkOrder []int
-
-	// bufBloom filters the leading signature values of this snapshot's
-	// buffered entries: a query whose leading values all miss cannot band-
-	// collide with any buffered entry, so the linear scan is skipped. The
-	// filter is shared with the writer (Adds insert concurrently — extra
-	// bits relative to this snapshot's buf prefix only cost false
-	// positives) and replaced when a seal relocates the buffer.
-	bufBloom *bloom.Atomic
 
 	// refs and dead manage the snapshot's lifetime (segio.go): the current
 	// pointer holds one reference, each in-flight reader one more, and the
@@ -307,35 +282,29 @@ func successor(next, cur *snapshot, segsChanged bool) *snapshot {
 	return next
 }
 
-// alive reports whether an entry of the given key and sequence number is
-// still current under this snapshot's tombstones.
-func (sn *snapshot) alive(key string, seq uint64) bool {
-	return sn.tombs[key] <= seq
-}
-
 // Index is a mutable, always-queryable LSH Ensemble. Queries are lock-free
 // against writers and the compactor; Add/Delete are safe for concurrent use
 // with each other and with queries. See the package comment for the model.
 type Index struct {
 	opts  Options
-	tuner *tune.Optimizer // shared with buffer scans; safe for concurrent use
+	tuner *tune.Optimizer // shared with buffer queries; safe for concurrent use
 
 	snap atomic.Pointer[snapshot]
 
 	// mu serializes writers: Add, Delete, and every snapshot publish.
 	// Readers never take it.
-	mu      sync.Mutex
-	seq     uint64            // last assigned mutation sequence number
-	keySeq  map[string]uint64 // live key → seq of its current entry
-	bufBack []entry           // buffer backing; published snapshots view prefixes of it
-
-	// bufBloom is the writer-side handle of the current buffer filter
-	// (snapshots carry the same pointer); guarded by mu, swapped at seal.
-	bufBloom *bloom.Atomic
+	mu     sync.Mutex
+	seq    uint64            // last assigned mutation sequence number
+	keySeq map[string]uint64 // live key → seq of its current entry
 
 	// compactMu serializes compaction work (the background goroutine, Flush,
 	// Compact): at most one segment build is in flight at a time.
 	compactMu sync.Mutex
+
+	// publishHook, when set by a test, runs in seal and mergeSegments
+	// between the off-lock build and the publish, so writes can race a
+	// compaction deterministically.
+	publishHook func()
 
 	domains atomic.Int64  // live domain count (= len(keySeq), readable lock-free)
 	seals   atomic.Uint64 // completed seal operations
@@ -364,8 +333,7 @@ type Index struct {
 	resHits        atomic.Uint64
 	resMisses      atomic.Uint64
 	topkEarlyExits atomic.Uint64 // QueryTopK calls that stopped before the last segment
-	bufScans       atomic.Uint64 // linear buffer scans actually performed
-	bufBloomSkips  atomic.Uint64 // buffer scans skipped by the buffer Bloom filter
+	bufScans       atomic.Uint64 // buffer index walks actually performed
 
 	scratch sync.Pool // *queryScratch
 
@@ -380,9 +348,12 @@ type Index struct {
 }
 
 // queryScratch is the pooled per-query working memory of the live fan-out:
-// a reusable id buffer for the per-segment candidate lists.
+// reusable buffers for the per-segment candidate ids, the buffer hit
+// positions and the kept top-k results.
 type queryScratch struct {
-	ids []uint32
+	ids  []uint32
+	hits []uint32
+	top  []core.TopKResult
 }
 
 // QueryKind discriminates the query entry points for Observer callbacks.
@@ -457,10 +428,11 @@ type QueryTrace struct {
 	SegmentsProbed      int
 	SegmentsRangePruned int
 	SegmentsBloomPruned int
-	// BufferScanned / BufferBloomSkipped report whether the unsealed
-	// buffer was linearly scanned or skipped by its Bloom filter.
-	BufferScanned      bool
-	BufferBloomSkipped bool
+	// BufferScanned reports whether the unsealed buffer's index was walked
+	// (it is skipped when empty or ruled out by size); BufferCandidates is
+	// how many buffered entries the walk verified with the band test.
+	BufferScanned    bool
+	BufferCandidates int
 }
 
 // traceCtxKey carries a *QueryTrace in a context.
@@ -511,8 +483,7 @@ func Build(records []core.Record, opts Options) (*Index, error) {
 			return nil, err
 		}
 	}
-	x.bufBloom = x.newBufBloom()
-	sn := &snapshot{bufBloom: x.bufBloom}
+	sn := &snapshot{}
 	if len(records) > 0 {
 		for _, r := range records {
 			if err := x.validateRecord(r); err != nil {
@@ -520,7 +491,7 @@ func Build(records []core.Record, opts Options) (*Index, error) {
 			}
 		}
 		// Upsert semantics: the last record of each key wins, earlier ones
-		// are dropped before the build (no tombstone needed — they never
+		// are dropped before the build (nothing to clear — they never
 		// become visible).
 		last := make(map[string]int, len(records))
 		for i, r := range records {
@@ -545,6 +516,7 @@ func Build(records []core.Record, opts Options) (*Index, error) {
 		seg.resident = heapSegmentResident(idx, seg.meta)
 		sn.segs = []*segment{x.persistSegment(seg)}
 		x.seq = uint64(len(records))
+		sn.seq = x.seq
 		x.domains.Store(int64(len(recs)))
 	}
 	x.publishInitial(sn)
@@ -570,7 +542,7 @@ func (x *Index) validateRecord(r core.Record) error {
 // Options returns the effective options.
 func (x *Index) Options() Options { return x.opts }
 
-// Len returns the number of live domains (tombstoned entries excluded).
+// Len returns the number of live domains (cleared entries excluded).
 func (x *Index) Len() int { return int(x.domains.Load()) }
 
 // Add inserts or replaces a domain. A record whose key is already indexed
@@ -591,33 +563,21 @@ func (x *Index) Add(r core.Record) (replaced bool, err error) {
 	x.seq++
 	seq := x.seq
 	cur := x.snap.Load()
-	tombs := cur.tombs
-	_, replaced = x.keySeq[r.Key]
-	if replaced {
-		// The replacing Add tombstones every older entry of the key (their
-		// seqs are < seq) while leaving the new entry (seq == seq) alive.
-		tombs = cloneTombs(tombs, r.Key, seq)
+	next := &snapshot{segs: cur.segs, cleared: cur.cleared, bufMax: max(cur.bufMax, r.Size)}
+	var old uint64
+	if old, replaced = x.keySeq[r.Key]; replaced {
+		// The replacing Add clears the older entry before the append below,
+		// which may move the buffer to a new arena carrying the slot along.
+		next.cleared += x.clearLocked(cur, r.Key, old)
 	} else {
 		x.domains.Add(1)
 	}
 	x.keySeq[r.Key] = seq
-	// The published prefix of bufBack is immutable: this append writes only
-	// at the index just past every published snapshot's view (or relocates
-	// to a fresh array), and the longer prefix becomes visible only through
-	// the snapshot swap below.
-	x.bufBack = append(x.bufBack, entry{rec: r, seq: seq})
-	// The filter insert precedes the snapshot store, so any reader that can
-	// see this entry also sees its filter bits.
-	addBufLeads(x.bufBloom, r.Sig, x.opts.RMax, x.opts.Sketch.Mask())
-	bufMax := cur.bufMax
-	if r.Size > bufMax {
-		bufMax = r.Size
-	}
-	next := &snapshot{segs: cur.segs, buf: x.bufBack, tombs: tombs, bufMax: bufMax, bufBloom: x.bufBloom}
-	old := x.publishLocked(next, cur, false)
+	next.arena, next.buf = x.appendBuf(cur, entry{rec: r, seq: seq})
+	prev := x.publishLocked(next, cur, false)
 	full := len(next.buf) >= x.opts.SealThreshold
 	x.mu.Unlock()
-	x.releaseSnap(old)
+	x.releaseSnap(prev)
 
 	if full {
 		x.kick()
@@ -626,36 +586,43 @@ func (x *Index) Add(r core.Record) (replaced bool, err error) {
 }
 
 // Delete removes a domain by key. It reports whether the key was indexed.
-// The entry is tombstoned immediately (readers loading later snapshots no
+// The entry is cleared immediately (readers loading later snapshots no
 // longer see it) and physically dropped by the next compaction that touches
 // its segment.
 func (x *Index) Delete(key string) bool {
 	x.mu.Lock()
-	if _, ok := x.keySeq[key]; !ok {
+	seq, ok := x.keySeq[key]
+	if !ok {
 		x.mu.Unlock()
 		return false
 	}
 	x.seq++
-	seq := x.seq
 	delete(x.keySeq, key)
 	x.domains.Add(-1)
 	cur := x.snap.Load()
-	next := &snapshot{segs: cur.segs, buf: cur.buf, tombs: cloneTombs(cur.tombs, key, seq), bufMax: cur.bufMax, bufBloom: x.bufBloom}
+	next := &snapshot{segs: cur.segs, buf: cur.buf, arena: cur.arena, cleared: cur.cleared + x.clearLocked(cur, key, seq), bufMax: cur.bufMax}
 	old := x.publishLocked(next, cur, false)
 	x.mu.Unlock()
 	x.releaseSnap(old)
 	return true
 }
 
-// cloneTombs returns a copy of tombs with key → seq added. The published
-// map is never mutated in place — readers hold it lock-free.
-func cloneTombs(tombs map[string]uint64, key string, seq uint64) map[string]uint64 {
-	next := make(map[string]uint64, len(tombs)+1)
-	for k, v := range tombs {
-		next[k] = v
+// clearLocked stores x.seq in the cleared-at slot of key's entry with
+// sequence number seq, wherever sn holds it, and reports how many entries it
+// cleared (0 only when a loaded snapshot broke the seq order). The
+// caller holds x.mu.
+func (x *Index) clearLocked(sn *snapshot, key string, seq uint64) int {
+	if i, ok := slices.BinarySearchFunc(sn.buf, seq, func(e entry, s uint64) int { return cmp.Compare(e.seq, s) }); ok && sn.buf[i].rec.Key == key {
+		sn.arena.clear.set(i, x.seq, len(sn.arena.ents))
+		return 1
 	}
-	next[key] = seq
-	return next
+	for _, seg := range sn.segs {
+		if i, ok := slices.BinarySearch(seg.seqs, seq); ok && seg.idx.Key(uint32(i)) == key {
+			seg.clear.set(i, x.seq, len(seg.seqs))
+			return 1
+		}
+	}
+	return 0
 }
 
 func (x *Index) acquireScratch() *queryScratch {
@@ -740,7 +707,7 @@ func (x *Index) QueryAppend(dst []string, sig minhash.Signature, querySize int, 
 }
 
 // QueryContext is Query under a context: the fan-out checks ctx between
-// segments (and periodically inside the buffer scan), so a canceled request
+// segments (and before and periodically inside the buffer walk), so a canceled request
 // stops probing instead of running the query to completion. On cancellation
 // it returns (nil, ctx.Err()); the partially collected candidates are
 // discarded, never cached. A signature shorter than NumHash returns
@@ -810,9 +777,9 @@ func clampThreshold(t float64) float64 {
 
 // querySnapshot runs the planned fan-out over one snapshot: probe, through
 // core's own query path, only the segments the range and Bloom pre-tests
-// cannot rule out, then scan the buffer. sig and tStar must already be
+// cannot rule out, then walk the buffer. sig and tStar must already be
 // clamped. ctx is checked once per segment and periodically inside the
-// buffer scan; on cancellation dst is returned as collected so far
+// buffer walk; on cancellation dst is returned as collected so far
 // alongside ctx.Err(). tr, when non-nil, receives the per-query planner
 // breakdown (mirroring the aggregate counters).
 func (x *Index) querySnapshot(ctx context.Context, dst []string, s *queryScratch, sn *snapshot, sig minhash.Signature, querySize int, tStar float64, tr *QueryTrace) ([]string, error) {
@@ -845,34 +812,30 @@ func (x *Index) querySnapshot(ctx context.Context, dst []string, s *queryScratch
 		s.ids, _ = seg.idx.QueryIDsAppend(s.ids[:0], sig, querySize, tStar)
 		dst = appendLiveKeys(dst, sn, seg, s.ids)
 	}
-	return x.appendBufferMatches(ctx, dst, sn, sig, querySize, tStar, tr)
+	return x.appendBufferMatches(ctx, dst, s, sn, sig, querySize, tStar, tr)
 }
 
-// appendLiveKeys appends the keys of the candidate ids that survive the
-// snapshot's tombstones.
+// appendLiveKeys appends the keys of the candidate ids that are alive in
+// the snapshot.
 func appendLiveKeys(dst []string, sn *snapshot, seg *segment, ids []uint32) []string {
-	if len(sn.tombs) == 0 {
-		for _, id := range ids {
-			dst = append(dst, seg.idx.Key(id))
-		}
-		return dst
-	}
+	sl := sn.liveSlots(&seg.clear)
 	for _, id := range ids {
-		if key := seg.idx.Key(id); sn.alive(key, seg.seqs[id]) {
-			dst = append(dst, key)
+		if !sn.hides(sl, int(id)) {
+			dst = append(dst, seg.idx.Key(id))
 		}
 	}
 	return dst
 }
 
-// appendBufferMatches linearly scans the unsealed buffer, treating it as
-// one more partition whose upper size bound is the largest buffered size:
-// the containment threshold converts to a Jaccard threshold exactly as a
-// sealed partition would convert it (Eq. 7, conservative), the tuner picks
-// one (b, r) for the whole scan, and an entry matches if any of the b bands
-// of r hash values collide — the LSH forest's collision condition, without
-// the forest. tStar must already be clamped.
-func (x *Index) appendBufferMatches(ctx context.Context, dst []string, sn *snapshot, sig minhash.Signature, querySize int, tStar float64, tr *QueryTrace) ([]string, error) {
+// appendBufferMatches answers the unsealed buffer as one more partition
+// whose upper size bound is the largest buffered size: the containment
+// threshold converts to a Jaccard threshold exactly as a sealed partition
+// would convert it (Eq. 7, conservative), the tuner picks one (b, r) for the
+// whole buffer, and an entry matches if any of the b bands of r hash values
+// collide — the LSH forest's collision condition, found through the
+// buffer's chained index instead of a forest. Matches are appended in
+// buffer order. tStar must already be clamped.
+func (x *Index) appendBufferMatches(ctx context.Context, dst []string, s *queryScratch, sn *snapshot, sig minhash.Signature, querySize int, tStar float64, tr *QueryTrace) ([]string, error) {
 	if len(sn.buf) == 0 {
 		return dst, nil
 	}
@@ -882,48 +845,25 @@ func (x *Index) appendBufferMatches(ctx context.Context, dst []string, sn *snaps
 	if tStar > 0 && u/q < tStar {
 		return dst, nil
 	}
-	rMax := x.opts.RMax
-	mask := x.opts.Sketch.Mask()
-	// Buffer Bloom pre-test: a band collision at any depth r ≥ 1 needs an
-	// exact match on the band's leading value, and the filter holds every
-	// buffered entry's leading values — so an all-miss query cannot match
-	// any buffered entry and the linear scan is skipped (no false
-	// negatives, same argument as segMeta.mayCollide).
-	may := false
-	for off := 0; off < len(sig); off += rMax {
-		if sn.bufBloom.MayContainHash(sig[off] & mask) {
-			may = true
-			break
-		}
-	}
-	if !may {
-		x.bufBloomSkips.Add(1)
-		if tr != nil {
-			tr.BufferBloomSkipped = true
-		}
-		return dst, nil
+	if err := ctx.Err(); err != nil {
+		return dst, err
 	}
 	x.bufScans.Add(1)
+	params := x.tuner.Optimize(u, q, tStar)
+	hits, verified, err := x.appendBufferHits(ctx, s.hits[:0], sn, sig, params.B, params.R)
+	s.hits = hits
 	if tr != nil {
 		tr.BufferScanned = true
+		tr.BufferCandidates = verified
 	}
-	params := x.tuner.Optimize(u, q, tStar)
-	for i := range sn.buf {
-		// The buffer is bounded by SealThreshold in steady state but not
-		// when the compactor is disabled or behind, so a long scan still
-		// honors cancellation — at a stride that costs nothing when it
-		// doesn't.
-		if i&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				return dst, err
-			}
-		}
-		e := &sn.buf[i]
-		if !sn.alive(e.rec.Key, e.seq) {
-			continue
-		}
-		if bandsCollide(sig, e.rec.Sig, params.B, params.R, rMax, mask) {
-			dst = append(dst, e.rec.Key)
+	if err != nil {
+		return dst, err
+	}
+	slices.Sort(hits)
+	sl := sn.liveSlots(&sn.arena.clear)
+	for _, p := range hits {
+		if !sn.hides(sl, int(p)) {
+			dst = append(dst, sn.buf[p].rec.Key)
 		}
 	}
 	return dst, nil
@@ -932,7 +872,7 @@ func (x *Index) appendBufferMatches(ctx context.Context, dst []string, sn *snaps
 // bandsCollide reports whether any of the first b bands (each rMax wide,
 // compared at depth r) of the two signatures agree — the LSH forest's
 // collision condition for one entry. Values are compared under the sketch
-// backend's truncation mask, so the buffer scan collides exactly when the
+// backend's truncation mask, so a buffered entry collides exactly when the
 // sealed forest would have (the buffer holds full-width signatures, the
 // sealed store truncated ones).
 func bandsCollide(a, b minhash.Signature, bands, r, rMax int, mask uint64) bool {
@@ -981,7 +921,7 @@ func (x *Index) QueryBatch(queries []core.BatchQuery, workers int) [][]string {
 // QueryBatchContext is QueryBatch under a context. The rows fan out over
 // min(workers, GOMAXPROCS) goroutines (0 or a negative value selects
 // GOMAXPROCS), each row running the single-query body against one pinned
-// snapshot — so result-cache hits, pruning and the buffer scan behave per
+// snapshot — so result-cache hits, pruning and the buffer walk behave per
 // row exactly as in QueryAppendContext. ctx is checked before every row and
 // inside it, so a disconnected client or expired deadline stops the batch
 // instead of burning CPU to completion. On cancellation it returns
@@ -1045,8 +985,9 @@ func (x *Index) QueryTopK(sig minhash.Signature, querySize, k int) []core.TopKRe
 }
 
 // QueryTopKContext is QueryTopK under a context: ctx is checked before each
-// segment visit, so a canceled request stops ranking instead of walking the
-// remaining segments. On cancellation it returns (nil, ctx.Err()). A
+// segment visit, before the buffer pass and periodically inside it, so a
+// canceled request stops ranking instead of walking the rest of the
+// snapshot. On cancellation it returns (nil, ctx.Err()). A
 // signature shorter than NumHash returns core.ErrShortSignature.
 func (x *Index) QueryTopKContext(ctx context.Context, sig minhash.Signature, querySize, k int) ([]core.TopKResult, error) {
 	if err := x.checkSig(sig); err != nil {
@@ -1060,75 +1001,92 @@ func (x *Index) QueryTopKContext(ctx context.Context, sig minhash.Signature, que
 	sn := p.sn
 	sig = x.clampSig(sig)
 	q := float64(querySize)
-	// Tombstoned candidates are filtered after collection, so ask each
-	// segment for enough ids to survive the worst-case filtering.
-	need := k + len(sn.tombs)
-	var results []core.TopKResult
-	kth := func() float64 { return results[k-1].EstContainment }
-	rank := func() {
-		slices.SortFunc(results, core.CompareTopK)
-		if len(results) > k {
-			results = results[:k]
-		}
-	}
+	// Cleared candidates are filtered after collection, so ask each segment
+	// for enough ids to survive the worst-case filtering.
+	need := k + sn.cleared
 	s := x.acquireScratch()
 	defer x.releaseScratch(s)
+	best := s.top[:0]
+	defer func() { s.top = best }()
+	// full reports whether k results are kept and the worst of them beats
+	// every estimate an entry of size ≤ xMax can reach. Strict >: an entry
+	// whose cap ties the k-th score could still win its tie-break.
+	full := func(xMax int) bool {
+		return len(best) == k && best[k-1].EstContainment > containmentBound(xMax, q)
+	}
 	terminated := false
 	for _, si := range sn.topkOrder {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		seg := sn.segs[si]
-		// Strict >: a remaining segment whose cap ties the current k-th
-		// score could still win its tie-break, so it is only skippable when
-		// even its best possible estimate falls short.
-		if len(results) >= k && kth() > containmentBound(seg.meta.maxBound, q) {
+		if full(seg.meta.maxBound) {
 			terminated = true
 			break
 		}
 		// sig was length-checked at entry, so the error path is unreachable.
 		s.ids, _ = seg.idx.QueryTopKIDs(s.ids[:0], sig, querySize, need)
+		sl := sn.liveSlots(&seg.clear)
 		for _, id := range s.ids {
-			key := seg.idx.Key(id)
-			if !sn.alive(key, seg.seqs[id]) {
-				continue
+			if !sn.hides(sl, int(id)) {
+				best = keepBest(best, k, core.TopKResult{Key: seg.idx.Key(id), EstContainment: seg.idx.EstContainment(id, sig, querySize)})
 			}
-			est := seg.idx.EstContainment(id, sig, querySize)
-			results = append(results, core.TopKResult{Key: key, EstContainment: est})
 		}
-		rank()
 	}
 	if len(sn.buf) > 0 {
-		if len(results) >= k && kth() > containmentBound(sn.bufMax, q) {
+		if full(sn.bufMax) {
 			terminated = true
 		} else {
+			sl := sn.liveSlots(&sn.arena.clear)
 			for i := range sn.buf {
-				e := &sn.buf[i]
-				if !sn.alive(e.rec.Key, e.seq) {
+				// Same stride as the threshold walk; i = 0 checks before the
+				// pass, which is all an index with no sealed segment checks.
+				if i&1023 == 0 {
+					if err := ctx.Err(); err != nil {
+						return nil, err
+					}
+				}
+				if sn.hides(sl, i) {
 					continue
 				}
+				e := &sn.buf[i]
 				est := sketchContainment(x.opts.Sketch, sig, e.rec.Sig, q, float64(e.rec.Size))
-				results = append(results, core.TopKResult{Key: e.rec.Key, EstContainment: est})
+				best = keepBest(best, k, core.TopKResult{Key: e.rec.Key, EstContainment: est})
 			}
-			rank()
 		}
 	}
 	if terminated {
 		x.topkEarlyExits.Add(1)
 	}
-	return results, nil
+	return append([]core.TopKResult(nil), best...), nil
+}
+
+// keepBest inserts r into best — at most k results, sorted best-first under
+// core.CompareTopK — dropping the worst when full. Keys are unique within a
+// snapshot, so the order is total and the kept set is exactly the top k.
+func keepBest(best []core.TopKResult, k int, r core.TopKResult) []core.TopKResult {
+	if len(best) == k && core.CompareTopK(r, best[k-1]) > 0 {
+		return best
+	}
+	i, _ := slices.BinarySearchFunc(best, r, core.CompareTopK)
+	if len(best) < k {
+		best = append(best, r)
+	}
+	copy(best[i+1:], best[i:len(best)-1])
+	best[i] = r
+	return best
 }
 
 // Stats is a point-in-time summary of the index's shape.
 type Stats struct {
-	// Domains is the number of live domains (tombstoned entries excluded).
+	// Domains is the number of live domains (cleared entries excluded).
 	Domains int `json:"domains"`
 	// Segments holds the entry count of every sealed segment (including
-	// entries already tombstoned but not yet compacted away).
+	// entries already cleared but not yet compacted away).
 	Segments []int `json:"segments"`
-	// Buffered is the unsealed buffer length (including tombstoned entries).
+	// Buffered is the unsealed buffer length (including cleared entries).
 	Buffered int `json:"buffered"`
-	// Tombstones is the number of pending tombstones (deletes and
+	// Tombstones is the number of cleared entries still held (deletes and
 	// replacements not yet compacted away).
 	Tombstones int `json:"tombstones"`
 	// Seq is the highest mutation sequence number visible to readers.
@@ -1156,7 +1114,7 @@ type Stats struct {
 
 // SegmentStats describes one sealed segment.
 type SegmentStats struct {
-	// Entries is the physical entry count (tombstoned entries included).
+	// Entries is the physical entry count (cleared entries included).
 	Entries int `json:"entries"`
 	// MinSize and MaxSize are the smallest and largest domain cardinality.
 	MinSize int `json:"min_size"`
@@ -1201,11 +1159,9 @@ type PlannerStats struct {
 	// TopKEarlyExits counts QueryTopK calls that stopped before visiting
 	// every segment.
 	TopKEarlyExits uint64 `json:"topk_early_exits"`
-	// BufferScans / BufferBloomPruned partition the unsealed-buffer
-	// decisions: linear scans performed vs skipped because every query
-	// leading value missed the buffer's Bloom filter.
-	BufferScans       uint64 `json:"buffer_scans"`
-	BufferBloomPruned uint64 `json:"buffer_bloom_pruned"`
+	// BufferScans counts walks of the unsealed buffer's index (queries whose
+	// buffer was empty or ruled out by size skip it).
+	BufferScans uint64 `json:"buffer_scans"`
 }
 
 // Stats returns a consistent snapshot summary without blocking writers.
@@ -1216,7 +1172,8 @@ func (x *Index) Stats() Stats {
 		Domains:     x.Len(),
 		Segments:    make([]int, len(sn.segs)),
 		Buffered:    len(sn.buf),
-		Tombstones:  len(sn.tombs),
+		Tombstones:  sn.cleared,
+		Seq:         sn.seq,
 		Seals:       x.seals.Load(),
 		Merges:      x.merges.Load(),
 		Sketch:      x.opts.Sketch.String(),
@@ -1229,7 +1186,6 @@ func (x *Index) Stats() Stats {
 			ResultMisses:        x.resMisses.Load(),
 			TopKEarlyExits:      x.topkEarlyExits.Load(),
 			BufferScans:         x.bufScans.Load(),
-			BufferBloomPruned:   x.bufBloomSkips.Load(),
 		},
 	}
 	if len(sn.segs) > 0 {
@@ -1262,18 +1218,5 @@ func (x *Index) Stats() Stats {
 	// Buffered entries always hold full-width signatures; they truncate at
 	// seal time.
 	st.SignatureBytes += int64(len(sn.buf)) * int64(x.opts.NumHash) * 8
-	for _, seg := range sn.segs {
-		if n := len(seg.seqs); n > 0 && seg.seqs[n-1] > st.Seq {
-			st.Seq = seg.seqs[n-1]
-		}
-	}
-	if n := len(sn.buf); n > 0 && sn.buf[n-1].seq > st.Seq {
-		st.Seq = sn.buf[n-1].seq
-	}
-	for _, s := range sn.tombs {
-		if s > st.Seq {
-			st.Seq = s
-		}
-	}
 	return st
 }

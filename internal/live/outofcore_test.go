@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -361,9 +362,11 @@ func TestCollectGarbageDefersManifestedFiles(t *testing.T) {
 	}
 }
 
-// TestBufferBloomCounters checks the unsealed-buffer Bloom filter: queries
-// whose leading values are absent from the buffer skip the linear scan.
-func TestBufferBloomCounters(t *testing.T) {
+// TestBufferIndexCandidates checks the unsealed buffer's chained index: a
+// buffered record's own signature is found through it, a query sharing no
+// leading value with any buffered entry verifies no candidate at all, and
+// the index never changes an answer relative to a linear scan.
+func TestBufferIndexCandidates(t *testing.T) {
 	opts := liveOpts()
 	x, err := Build(nil, opts)
 	if err != nil {
@@ -377,39 +380,45 @@ func TestBufferBloomCounters(t *testing.T) {
 		}
 	}
 
-	// A buffered record's own signature shares every leading value — the
-	// filter must answer "maybe" and the scan must find it.
-	if got := x.Query(recs[0].Sig, recs[0].Size, 1.0); !contains(got, recs[0].Key) {
+	var tr QueryTrace
+	got, err := x.QueryContext(WithQueryTrace(context.Background(), &tr), recs[0].Sig, recs[0].Size, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !contains(got, recs[0].Key) {
 		t.Fatalf("self-retrieval from buffer failed: %v", got)
 	}
-	st := x.Stats()
-	if st.Planner.BufferScans == 0 {
-		t.Fatalf("matching query did not scan the buffer: %+v", st.Planner)
+	if !tr.BufferScanned || tr.BufferCandidates == 0 {
+		t.Fatalf("matching query did not walk the buffer index: %+v", tr)
+	}
+	if st := x.Stats(); st.Planner.BufferScans == 0 {
+		t.Fatalf("buffer walk not counted: %+v", st.Planner)
 	}
 
-	// A random signature collides with no buffered leading value (2^-50ish
-	// per probe): the scan must be skipped and counted as pruned.
+	// A random signature shares no leading value with a buffered entry
+	// (2^-64 per comparison), so the walk verifies nothing.
 	rng := rand.New(rand.NewSource(99))
 	alien := make(minhash.Signature, opts.NumHash)
-	pruned := st.Planner.BufferBloomPruned
 	for i := 0; i < 5; i++ {
 		for j := range alien {
 			alien[j] = rng.Uint64()
 		}
-		x.Query(alien, 100, 0.5)
-	}
-	st = x.Stats()
-	if st.Planner.BufferBloomPruned <= pruned {
-		t.Fatalf("alien queries not Bloom-pruned: %+v", st.Planner)
+		tr = QueryTrace{}
+		got, err := x.QueryContext(WithQueryTrace(context.Background(), &tr), alien, 100, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tr.BufferScanned || tr.BufferCandidates != 0 || len(got) != 0 {
+			t.Fatalf("alien query: trace %+v, answer %v; want a walk verifying 0 candidates", tr, got)
+		}
 	}
 
-	// The Bloom pre-test never changes an answer: the Bloom-free reference
-	// scan agrees on every query.
+	// The index never changes an answer: the linear reference scan agrees.
 	for _, r := range recs {
 		a := x.Query(r.Sig, r.Size, 0.9)
 		b := refQuery(x, r.Sig, r.Size, 0.9)
 		if fmt.Sprint(a) != fmt.Sprint(b) {
-			t.Fatalf("pruned buffer and reference scan disagree: %v vs %v", a, b)
+			t.Fatalf("buffer index and reference scan disagree: %v vs %v", a, b)
 		}
 	}
 }

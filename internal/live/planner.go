@@ -38,10 +38,10 @@ import (
 // results, keyed to the snapshot generation gen (bumped on every publish —
 // any mutation invalidates all cached results).
 
-// Bloom operating points (see bloom.New). Keys use ~1% false positives:
-// a false positive merely costs one unnecessary tombstone sweep. Leading
-// values use ~0.1%: the collision pre-test is probed once per tree per
-// query, and a false positive costs a full segment probe.
+// Bloom operating points (see bloom.New). Keys use ~1% false positives;
+// no query reads the key filter, but the segment and snapshot formats carry
+// it. Leading values use ~0.1%: the collision pre-test is probed once per
+// tree per query, and a false positive costs a full segment probe.
 const (
 	keysBloomBits = 10
 	keysBloomK    = 7
@@ -63,7 +63,7 @@ type segMeta struct {
 	// candidate's containment estimate can exceed (maxBound/q + 1)/2.
 	maxBound int
 
-	keys  *bloom.Filter // every entry key (tombstone GC skip)
+	keys  *bloom.Filter // every entry key (kept for the wire formats)
 	leads *bloom.Filter // every tree's leading hash column (collision pre-test)
 }
 

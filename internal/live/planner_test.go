@@ -28,8 +28,8 @@ func plannerOpts() Options {
 
 // refQuery is the equivalence tests' independent reference over x's
 // current snapshot: every sealed segment probed by core's unplanned
-// QueryIDsAppend, the tombstone filter, and a buffer scan without the Bloom
-// pre-test — no pruning, no result cache.
+// QueryIDsAppend, the liveness filter, and a linear buffer scan instead of
+// the buffer index — no pruning, no result cache.
 func refQuery(x *Index, sig minhash.Signature, querySize int, tStar float64) []string {
 	if querySize <= 0 {
 		return nil
@@ -47,8 +47,9 @@ func refQuery(x *Index, sig minhash.Signature, querySize int, tStar float64) []s
 		return out
 	}
 	p := x.tuner.Optimize(u, q, tStar)
-	for _, e := range sn.buf {
-		if sn.alive(e.rec.Key, e.seq) && bandsCollide(sig, e.rec.Sig, p.B, p.R, x.opts.RMax, x.opts.Sketch.Mask()) {
+	sl := sn.liveSlots(&sn.arena.clear)
+	for i, e := range sn.buf {
+		if !sn.hides(sl, i) && bandsCollide(sig, e.rec.Sig, p.B, p.R, x.opts.RMax, x.opts.Sketch.Mask()) {
 			out = append(out, e.rec.Key)
 		}
 	}
@@ -67,15 +68,15 @@ func refTopK(x *Index, sig minhash.Signature, querySize, k int) []core.TopKResul
 	defer x.releaseSnap(sn)
 	var out []core.TopKResult
 	for _, seg := range sn.segs {
-		ids, _ := seg.idx.QueryTopKIDs(nil, sig, querySize, k+len(sn.tombs))
+		ids, _ := seg.idx.QueryTopKIDs(nil, sig, querySize, k+sn.cleared)
 		for _, id := range ids {
-			if key := seg.idx.Key(id); sn.alive(key, seg.seqs[id]) {
+			if key := seg.idx.Key(id); !sn.hides(sn.liveSlots(&seg.clear), int(id)) {
 				out = append(out, core.TopKResult{Key: key, EstContainment: seg.idx.EstContainment(id, sig, querySize)})
 			}
 		}
 	}
-	for _, e := range sn.buf {
-		if sn.alive(e.rec.Key, e.seq) {
+	for i, e := range sn.buf {
+		if !sn.hides(sn.liveSlots(&sn.arena.clear), i) {
 			est := sketchContainment(x.opts.Sketch, sig, e.rec.Sig, float64(querySize), float64(e.rec.Size))
 			out = append(out, core.TopKResult{Key: e.rec.Key, EstContainment: est})
 		}
@@ -363,6 +364,39 @@ func TestTopKEarlyTermination(t *testing.T) {
 	}
 }
 
+// TestTopKEarlyExitStillRanksBuffer: an early exit over the sealed segments
+// says nothing about the buffer, whose bound is its own largest size. The
+// query's exact copy sits in the buffer and must outrank the half-matching
+// segment entry that ended the segment visit.
+func TestTopKEarlyExitStillRanksBuffer(t *testing.T) {
+	x, err := New(plannerOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := synthRecords(1, 9, "q", 3000, 3000)[0]
+	half := core.Record{Key: "half", Size: 3000, Sig: slices.Clone(q.Sig)}
+	copy(half.Sig[64:], synthRecords(1, 10, "r", 1, 1)[0].Sig[64:])
+	for _, batch := range [][]core.Record{{half}, synthRecords(40, 8, "small", 4, 16)} {
+		for _, r := range batch {
+			if _, err := x.Add(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		x.Flush()
+	}
+	if _, err := x.Add(q); err != nil {
+		t.Fatal(err)
+	}
+	want := refTopK(x, q.Sig, q.Size, 1)
+	got := x.QueryTopK(q.Sig, q.Size, 1)
+	if len(want) != 1 || want[0].Key != q.Key || !reflect.DeepEqual(got, want) {
+		t.Fatalf("top-1 = %v, want %v (the buffered exact copy)", got, want)
+	}
+	if x.Stats().Planner.TopKEarlyExits == 0 {
+		t.Fatal("segment visit did not exit early; the fixture no longer tests the buffer after an exit")
+	}
+}
+
 // TestTombstonesDropOnIncrementalMerge (satellite): the exact per-key GC
 // now runs on incremental merges, so tombstones whose entries are merged
 // away disappear without a full Compact — even when older segments pin the
@@ -487,8 +521,9 @@ func appendBinaryV1(x *Index) []byte {
 			buf = binary.LittleEndian.AppendUint64(buf, v)
 		}
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sn.tombs)))
-	for k, s := range sn.tombs {
+	tombs := sn.tombstones()
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(tombs)))
+	for k, s := range tombs {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(k)))
 		buf = append(buf, k...)
 		buf = binary.LittleEndian.AppendUint64(buf, s)

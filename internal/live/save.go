@@ -8,6 +8,7 @@ import (
 	"io"
 	"path/filepath"
 	"sort"
+	"sync/atomic"
 
 	"lshensemble/internal/bloom"
 	"lshensemble/internal/core"
@@ -47,9 +48,12 @@ import (
 // Save serializes a point-in-time snapshot: it is safe to call while
 // writers and the compactor run (they publish new snapshots; the one being
 // written stays frozen). With DataDir set it first spills any segment that
-// has no file yet, so the manifest it writes is self-contained. Load
-// rebuilds the writer-side state (key → seq map, live count) by replaying
-// the tombstones over the entries.
+// has no file yet, so the manifest it writes is self-contained. The
+// tombstone list is derived from the cleared-at slots: one (key, seq) per
+// key with cleared entries, seq the largest of their clears, which shadows
+// exactly the entries of that key older than it. Load maps each tombstone
+// back onto those entries' slots and rebuilds the writer-side state (key →
+// seq map, live count) from the entries left alive.
 
 var liveMagic = [4]byte{'L', 'I', 'V', 'E'}
 
@@ -139,8 +143,9 @@ func (x *Index) AppendBinary(buf []byte) []byte {
 	}
 	// Tombstones in sorted key order: map iteration is randomized, and v3
 	// promises byte-deterministic encodings of equal states.
-	tombKeys := make([]string, 0, len(sn.tombs))
-	for k := range sn.tombs {
+	tombs := sn.tombstones()
+	tombKeys := make([]string, 0, len(tombs))
+	for k := range tombs {
 		tombKeys = append(tombKeys, k)
 	}
 	sort.Strings(tombKeys)
@@ -148,9 +153,35 @@ func (x *Index) AppendBinary(buf []byte) []byte {
 	for _, k := range tombKeys {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(k)))
 		buf = append(buf, k...)
-		buf = binary.LittleEndian.AppendUint64(buf, sn.tombs[k])
+		buf = binary.LittleEndian.AppendUint64(buf, tombs[k])
 	}
 	return binary.LittleEndian.AppendUint64(buf, crc64.Checksum(buf[start:], crcTable))
+}
+
+// tombstones returns, per key with entries cleared in sn, the largest seq
+// that cleared one of them.
+func (sn *snapshot) tombstones() map[string]uint64 {
+	tombs := make(map[string]uint64)
+	note := func(sl []atomic.Uint64, i int, key string) {
+		if sn.hides(sl, i) {
+			tombs[key] = max(tombs[key], sl[i].Load())
+		}
+	}
+	for _, seg := range sn.segs {
+		if sl := sn.liveSlots(&seg.clear); sl != nil {
+			for id := range seg.seqs {
+				note(sl, id, seg.idx.Key(uint32(id)))
+			}
+		}
+	}
+	if len(sn.buf) > 0 {
+		if sl := sn.liveSlots(&sn.arena.clear); sl != nil {
+			for i := range sn.buf {
+				note(sl, i, sn.buf[i].rec.Key)
+			}
+		}
+	}
+	return tombs
 }
 
 // Save writes the index's snapshot encoding to w. See AppendBinary for the
@@ -359,6 +390,7 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	var ents []entry
 	for i := 0; i < nbuf; i++ {
 		if len(buf) < 12 {
 			return nil, ErrCorrupt
@@ -384,46 +416,45 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 		if err := x.validateRecord(rec); err != nil {
 			return nil, fmt.Errorf("%v: %w", err, ErrCorrupt)
 		}
-		x.bufBack = append(x.bufBack, entry{rec: rec, seq: eseq})
+		ents = append(ents, entry{rec: rec, seq: eseq})
 		if size > sn.bufMax {
 			sn.bufMax = size
 		}
 	}
-	sn.buf = x.bufBack
-	x.bufBloom = x.newBufBloom()
-	for i := range sn.buf {
-		addBufLeads(x.bufBloom, sn.buf[i].rec.Sig, rMax, opts.Sketch.Mask())
+	if len(ents) > 0 {
+		sn.arena = x.newArena(ents, nil, max(16, 2*len(ents)))
+		sn.buf = sn.arena.ents[:len(ents)]
 	}
-	sn.bufBloom = x.bufBloom
 	ntombs, buf, err := readCount(buf)
 	if err != nil {
 		return nil, err
 	}
-	if ntombs > 0 {
-		sn.tombs = make(map[string]uint64, ntombs)
-		for i := 0; i < ntombs; i++ {
-			if len(buf) < 4 {
-				return nil, ErrCorrupt
-			}
-			kl := int(binary.LittleEndian.Uint32(buf))
-			buf = buf[4:]
-			if len(buf) < kl+8 {
-				return nil, ErrCorrupt
-			}
-			sn.tombs[string(buf[:kl])] = binary.LittleEndian.Uint64(buf[kl:])
-			buf = buf[kl+8:]
+	tombs := make(map[string]uint64, ntombs)
+	for i := 0; i < ntombs; i++ {
+		if len(buf) < 4 {
+			return nil, ErrCorrupt
 		}
+		kl := int(binary.LittleEndian.Uint32(buf))
+		buf = buf[4:]
+		if len(buf) < kl+8 {
+			return nil, ErrCorrupt
+		}
+		tombs[string(buf[:kl])] = binary.LittleEndian.Uint64(buf[kl:])
+		buf = buf[kl+8:]
 	}
 	if len(buf) != 0 {
 		return nil, fmt.Errorf("live: %d trailing bytes after snapshot: %w", len(buf), ErrCorrupt)
 	}
 
-	// Rebuild the writer-side view: the live entry of each key is the one
-	// not shadowed by a tombstone; at most one per key exists in a
-	// well-formed snapshot, so the highest seq wins defensively.
+	// Map the tombstones onto the slots (a tombstone clears its key's older
+	// entries) and rebuild the writer-side view from the entries left alive:
+	// at most one per key in a well-formed snapshot, so the highest seq wins
+	// defensively.
 	live := 0
-	note := func(key string, s uint64) {
-		if sn.tombs[key] > s {
+	note := func(c *clearSlots, i, n int, key string, s uint64) {
+		if t := tombs[key]; t > s {
+			c.set(i, t, n)
+			sn.cleared++
 			return
 		}
 		if old, ok := x.keySeq[key]; !ok {
@@ -434,12 +465,12 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 		}
 	}
 	for _, seg := range sn.segs {
-		for id := 0; id < seg.idx.Len(); id++ {
-			note(seg.idx.Key(uint32(id)), seg.seqs[id])
+		for id := range seg.seqs {
+			note(&seg.clear, id, len(seg.seqs), seg.idx.Key(uint32(id)), seg.seqs[id])
 		}
 	}
 	for i := range sn.buf {
-		note(sn.buf[i].rec.Key, sn.buf[i].seq)
+		note(&sn.arena.clear, i, len(sn.arena.ents), sn.buf[i].rec.Key, sn.buf[i].seq)
 	}
 	x.domains.Store(int64(live))
 	x.seq = seq
@@ -448,11 +479,12 @@ func Load(r io.Reader, opts Options) (*Index, error) {
 			x.seq = k
 		}
 	}
-	for _, s := range sn.tombs {
+	for _, s := range tombs {
 		if s > x.seq {
 			x.seq = s
 		}
 	}
+	sn.seq = x.seq
 	if opts.DataDir != "" {
 		// Anything in the data directory the manifest does not reference is a
 		// leftover from a crashed spill or an unpersisted save: remove it.

@@ -245,7 +245,7 @@ func openSegmentImage(back *segfile.Backing, numHash, rMax int, sketch core.Sket
 	}
 
 	// META: partition bounds + counts, then the per-record catalog (decoded
-	// into private heap values — Stats and tombstone sweeps must not depend
+	// into private heap values — Stats, Save and compaction must not depend
 	// on the mapping), then the planner metadata.
 	if len(meta) < nParts*24 {
 		return nil, errSegFile("META truncated")
@@ -611,12 +611,13 @@ func (x *Index) releaseSeg(seg *segment) {
 	}
 }
 
-// publishLocked installs next as the current snapshot (stamping generations
-// via successor) and returns the predecessor, whose current-pointer
-// reference the caller must drop with releaseSnap AFTER x.mu is released —
-// retiring a snapshot can munmap and delete files, too slow for the writer
-// lock.
+// publishLocked installs next as the current snapshot (stamping its seq and,
+// via successor, its generation) and returns the predecessor, whose
+// current-pointer reference the caller must drop with releaseSnap AFTER
+// x.mu is released — retiring a snapshot can munmap and delete files, too
+// slow for the writer lock.
 func (x *Index) publishLocked(next, cur *snapshot, segsChanged bool) *snapshot {
+	next.seq = x.seq
 	retainSegs(next.segs)
 	next.refs.Store(1)
 	x.snap.Store(successor(next, cur, segsChanged))

@@ -157,7 +157,7 @@ func (s *Server) registerIndexMetrics(prefix string) {
 	domains := s.reg.Gauge(prefix+"_live_domains", "Live domains indexed (tombstoned entries excluded).")
 	segments := s.reg.Gauge(prefix+"_live_segments", "Sealed segments in the current snapshot.")
 	buffered := s.reg.Gauge(prefix+"_live_buffered_entries", "Entries in the unsealed in-memory buffer.")
-	tombstones := s.reg.Gauge(prefix+"_live_tombstones", "Pending tombstones not yet compacted away.")
+	tombstones := s.reg.Gauge(prefix+"_live_tombstones", "Cleared entries (deletes, replacements) not yet compacted away.")
 	resident := s.reg.Gauge(prefix+"_live_segment_resident_bytes", "Estimated heap-resident bytes across sealed segments.")
 	fileBytes := s.reg.Gauge(prefix+"_live_segment_file_bytes", "On-disk bytes across spilled segment files.")
 	seals := s.reg.Counter(prefix+"_live_seals_total", "Buffer seals completed by the compactor.")
@@ -170,7 +170,6 @@ func (s *Server) registerIndexMetrics(prefix string) {
 	resMisses := s.reg.Counter(prefix+"_planner_result_cache_total", "Result-cache lookups by outcome.", obs.L("outcome", "miss"))
 	topkExits := s.reg.Counter(prefix+"_planner_topk_early_exits_total", "Top-k queries that stopped before visiting every segment.")
 	bufScans := s.reg.Counter(prefix+"_planner_buffer_total", "Unsealed-buffer decisions.", obs.L("decision", "scanned"))
-	bufBloom := s.reg.Counter(prefix+"_planner_buffer_total", "Unsealed-buffer decisions.", obs.L("decision", "bloom_pruned"))
 	s.reg.OnScrape(func() {
 		st := s.idx.Stats()
 		domains.Set(int64(st.Domains))
@@ -194,7 +193,6 @@ func (s *Server) registerIndexMetrics(prefix string) {
 		resMisses.Store(st.Planner.ResultMisses)
 		topkExits.Store(st.Planner.TopKEarlyExits)
 		bufScans.Store(st.Planner.BufferScans)
-		bufBloom.Store(st.Planner.BufferBloomPruned)
 	})
 }
 
@@ -530,7 +528,7 @@ func (s *Server) noteSlow(r *http.Request, op string, start time.Time, tr *lshen
 			slog.Int("segments_bloom_pruned", tr.SegmentsBloomPruned),
 			slog.Int("buffered", tr.Buffered),
 			slog.Bool("buffer_scanned", tr.BufferScanned),
-			slog.Bool("buffer_bloom_skipped", tr.BufferBloomSkipped),
+			slog.Int("buffer_candidates", tr.BufferCandidates),
 		)
 	}
 	s.logger.LogAttrs(r.Context(), slog.LevelWarn, "slow query", attrs...)

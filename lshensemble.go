@@ -138,10 +138,10 @@ type TopKResult = core.TopKResult
 type BatchQuery = core.BatchQuery
 
 // LiveIndex is a mutable, always-queryable LSH Ensemble: an
-// atomically-swapped snapshot of sealed immutable segments, an unsealed
-// in-memory buffer of recent Adds, and a tombstone set for deletes, with a
-// background compactor folding the buffer into segments and merging small
-// segments. Queries are lock-free against Add/Delete/compaction and answer
+// atomically-swapped snapshot of sealed immutable segments and an indexed,
+// unsealed in-memory buffer of recent Adds, where deletes and replacements
+// set a per-entry cleared-at slot, with a background compactor folding the
+// buffer into segments and merging small segments. Queries are lock-free against Add/Delete/compaction and answer
 // from a consistent point-in-time snapshot; full compaction is
 // equivalence-preserving (bit-identical to a fresh Build over the surviving
 // records). See the internal/live package documentation for the model.
